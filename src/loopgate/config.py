@@ -17,18 +17,19 @@ Every violated precondition is reported with its section.key path, all at
 once, before any computation starts.
 """
 
+import cmath
 import configparser
 import math
 import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .gate import GATE_METHODS
 from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled, effective_couplings
 
 _ALLOWED_EXPR = re.compile(r"^[0-9pij+\-*/().eE\s]+$")
 _BARE_PI = re.compile(r"(?<=[0-9.)])pi")
 
-GATE_METHOD_CHOICES = ("analytic", "numeric_rwa", "numeric_rotating")
 FORMAT_CHOICES = ("csv", "json")
 SCAN_KINDS = ("rwa", "truncation")
 
@@ -36,7 +37,7 @@ _SWEEPABLE = ("g0", "nu", "phase0", "r0", "T")
 
 
 def parse_scalar(text: str):
-    """Evaluate a numeric literal that may use pi arithmetic and complex j."""
+    """Evaluate a numeric literal that may use pi arithmetic and complex j; it must be finite."""
     s = text.strip()
     if not s:
         raise ValueError("empty value")
@@ -49,6 +50,12 @@ def parse_scalar(text: str):
         raise ValueError(f"cannot parse {text!r}: {exc}") from None
     if not isinstance(value, (int, float, complex)):
         raise ValueError(f"{text!r} is not a number")
+    try:
+        finite = cmath.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
@@ -356,9 +363,7 @@ def load_config(path: str) -> RunConfig:
     reader.warn_unknown("space")
 
     method = reader.get("run", "method", str.strip, default="analytic")
-    reader.check(
-        method in GATE_METHOD_CHOICES, "run.method", f"must be one of {GATE_METHOD_CHOICES}"
-    )
+    reader.check(method in GATE_METHODS, "run.method", f"must be one of {GATE_METHODS}")
     dt = reader.get("run", "dt", parse_real)
     reader.check(dt is None or dt > 0, "run.dt", "must be > 0")
     n_steps = reader.get("run", "n_steps", parse_int, default=100_000)

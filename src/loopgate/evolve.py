@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NonUnitaryResultError
 from .fock import FockSpace
@@ -93,7 +92,7 @@ def propagate_numeric(
     unitary = np.eye(dim, dtype=complex)
     for k in range(n):
         ham = build(t0 + (k + 0.5) * h)
-        w, v = eigh(ham)
+        w, v = np.linalg.eigh(ham)
         step = (v * np.exp(-1j * w * h)) @ v.conj().T
         unitary = step @ unitary
     defect = np.abs(unitary.conj().T @ unitary - np.eye(dim)).max()

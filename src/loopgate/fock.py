@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationWarning
 
@@ -62,12 +61,15 @@ def displacement(alpha: complex, space: FockSpace) -> np.ndarray:
     """Displacement operator D(alpha) = exp(alpha a^dag - conj(alpha) a).
 
     The generator is exactly antihermitian in the truncated space, so the
-    returned matrix is unitary to machine precision even when truncation
-    makes it differ from the infinite-dimensional operator.
+    exponential is taken through the eigendecomposition of the Hermitian
+    i(alpha a^dag - conj(alpha) a) and the returned matrix is unitary to
+    machine precision even when truncation makes it differ from the
+    infinite-dimensional operator.
     """
     alpha = _check_amplitude(alpha, space)
     a = annihilation(space)
-    return expm(alpha * a.conj().T - alpha.conjugate() * a)
+    w, v = np.linalg.eigh(1j * (alpha * a.conj().T - alpha.conjugate() * a))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def compose_phase(alpha: complex, beta: complex) -> float:

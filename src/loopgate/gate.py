@@ -81,7 +81,7 @@ def gate_matrix(
 
     traj = alpha_trajectory(pulse, "++", 20001)
     closure_residual = float(abs(traj.alphas[-1]))
-    if closure_residual > closure_tolerance(traj.alphas, closure_tol):
+    if not (closure_residual <= closure_tolerance(traj.alphas, closure_tol)):
         raise OpenLoopError(
             f"drive loop does not close: |alpha(T)| = {closure_residual:.6e}; "
             "gate phases are only defined for cyclic evolutions"

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fock import FockSpace, annihilation
 
@@ -247,7 +246,7 @@ def cumulative_drive_integral(pulse: PulseSpec, times: np.ndarray) -> np.ndarray
     vals = np.asarray(pulse.g(times))
     out = np.empty(len(times), dtype=complex)
     out[0] = 0.0
-    out[1:] = cumulative_trapezoid(vals, times)
+    out[1:] = np.cumsum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0)
     return out
 
 

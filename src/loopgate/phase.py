@@ -18,7 +18,6 @@ gate-level nontriviality test.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import OpenLoopError
 from .evolve import Trajectory, alpha_trajectory
@@ -75,7 +74,7 @@ def drive_phase_integral(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS) -
     run = cumulative_drive_integral(pulse, grid)
     g_vals = np.asarray(pulse.g(grid))
     integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-    return complex(trapezoid(integrand, grid))
+    return complex(np.sum(np.diff(grid) * (integrand[1:] + integrand[:-1]) / 2.0))
 
 
 def _loop_phase(alphas: np.ndarray) -> float:
@@ -116,7 +115,7 @@ def total_phase(
     lam = branch_lambda(branch)
     traj = alpha_trajectory(pulse, branch, n_steps + 1)
     residual = float(abs(traj.alphas[-1]))
-    if require_closed and residual > closure_tolerance(traj.alphas, closure_tol):
+    if require_closed and not (residual <= closure_tolerance(traj.alphas, closure_tol)):
         raise OpenLoopError(
             f"trajectory for branch {branch} does not close: |alpha(T)| = {residual:.6e}"
         )
@@ -131,7 +130,7 @@ def enclosed_area(traj: Trajectory, closure_tol: float | None = None) -> float:
     """Shoelace signed area of the sampled loop, positive for counterclockwise paths."""
     alphas = traj.alphas
     residual = float(abs(alphas[-1] - alphas[0]))
-    if residual > closure_tolerance(alphas, closure_tol):
+    if not (residual <= closure_tolerance(alphas, closure_tol)):
         raise OpenLoopError(
             f"trajectory for branch {traj.branch} is not closed: |alpha(T) - alpha(0)| = {residual:.6e}"
         )

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loopgate
 from loopgate import cli
 from loopgate.config import load_config, parse_scalar
 from loopgate.validate import ScanRow, ValidationReport
@@ -56,6 +60,17 @@ class TestScalarParsing:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("text", ["10**400", "1e400", "-1e400", "1e400j", "1e308*10"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_scalar(text)
+
+    @pytest.mark.parametrize("key,old,new", [("g0", "0.1", "10**400"), ("phase0", "0", "1e400")])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, old, new):
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG.replace(f"{key} = {old}", f"{key} = {new}"))
+        assert cli.main(["gate", "--config", cfg]) == 1
+        assert f"config error: pulse.{key}: " in capsys.readouterr().err
 
 
 class TestPhasesCommand:
@@ -158,6 +173,17 @@ class TestGateCommand:
         assert payload["method"] == "numeric_rwa"
         assert payload["extracted_gamma"] == pytest.approx(math.pi / 2, abs=1e-3)
         assert payload["fidelity"] > 0.999
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["phases", "gate"])
+def test_nan_trajectory_fails_closure_guard(tmp_path, capsys, command):
+    # g0 is finite, but the trapezoid sums overflow, so alpha(T) is NaN
+    cfg = write(tmp_path / "n.ini", CIRCULAR_CONFIG.replace("g0 = 0.1", "g0 = 1e308"))
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "does not close" in captured.err
+    assert captured.out == ""
 
 
 class TestDesignCommand:
@@ -348,3 +374,12 @@ n_steps = 65536
         cfg = write(tmp_path / "r.ini", self.RAMAN.replace("omega_p = 101.0", "omega_p = 102.0"))
         assert cli.main(["phases", "--config", cfg]) == 1
         assert "resonance" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy brings its own BLAS thread pool and most of the start-up time
+    src = os.path.dirname(os.path.dirname(loopgate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, loopgate, loopgate.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from loopgate import (
     BRANCHES,
@@ -21,7 +22,7 @@ from loopgate import (
     lambda_values,
     sigma_x_basis_change,
 )
-from loopgate.model import branch_lambda
+from loopgate.model import branch_lambda, cumulative_drive_integral
 
 
 def make_raman(**overrides):
@@ -105,6 +106,25 @@ class TestPulseSpec:
     def test_evaluation_is_pure(self, standard_pulse):
         t = 0.7321
         assert standard_pulse.g(t) == standard_pulse.g(t)
+
+
+SAMPLED_PULSE = PulseSpec(
+    g_shape=Sampled(dt=0.25, values=tuple(0.1 * np.exp(-0.5j * np.arange(41)) * np.cos(np.arange(41)))),
+    T=10.0,
+)
+
+
+@pytest.mark.parametrize(
+    "pulse",
+    [PulseSpec(g_shape=Circular(g0=0.1, nu=0.2, phase0=0.3), T=2 * math.pi / 0.2), SAMPLED_PULSE],
+    ids=["circular", "sampled"],
+)
+def test_cumulative_drive_integral_is_cumulative_trapezoid(pulse):
+    # scipy is the test-only reference; the package's own sum does the same
+    # operations in the same order, so the results agree bit for bit
+    times = np.linspace(0.0, pulse.T, 1001)
+    expected = cumulative_trapezoid(np.asarray(pulse.g(times)), times, initial=0)
+    np.testing.assert_array_equal(cumulative_drive_integral(pulse, times), expected)
 
 
 def test_lambda_values():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from loopgate import (
     Circular,
@@ -19,6 +20,7 @@ from loopgate import (
     propagate_displacement,
     total_phase,
 )
+from loopgate.model import cumulative_drive_integral
 from conftest import random_closed_piecewise
 
 
@@ -122,6 +124,22 @@ class TestPhases:
             assert abs(value.real) < 1e-10 * max(1.0, abs(value))
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [Circular(g0=0.1, nu=0.2, phase0=0.3), Sampled(dt=0.5, values=(0, 0.1, 0.2j, -0.1 + 0.05j, 0))],
+    ids=["circular", "sampled"],
+)
+def test_drive_phase_integral_is_trapezoid(shape):
+    # scipy is the test-only reference for the package's written-out rule
+    T = shape.natural_duration() or 2 * math.pi / 0.2
+    pulse = PulseSpec(g_shape=shape, T=T)
+    grid = np.linspace(0.0, T, 4097)
+    run = cumulative_drive_integral(pulse, grid)
+    g_vals = np.asarray(pulse.g(grid))
+    integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
+    assert drive_phase_integral(pulse, 4096) == complex(trapezoid(integrand, grid))
+
+
 class TestSampledDrive:
     def test_sampled_circle_reproduces_phases(self):
         # sample the circular drive densely enough that linear interpolation
@@ -178,6 +196,9 @@ class TestEnclosedArea:
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.5 * 2 * math.pi / 0.2)
         with pytest.raises(OpenLoopError):
             enclosed_area(alpha_trajectory(pulse, "++", 10_001))
+        nan_end = Trajectory(times=[0.0, 1.0, 2.0], alphas=[0.0, 0.5j, complex("nan")], branch="++")
+        with pytest.raises(OpenLoopError):
+            enclosed_area(nan_end)
 
     def test_area_law(self, standard_pulse):
         traj = alpha_trajectory(standard_pulse, "++", 65_537)
