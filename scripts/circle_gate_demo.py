@@ -21,7 +21,7 @@ from loopgate import (
     entangling_check,
     gate_fidelity,
     gate_matrix,
-    total_phase,
+    solve_loop,
 )
 from loopgate.config import parse_real
 
@@ -42,8 +42,9 @@ def main():
     print(f"target gamma = {target:.9g}  ({target / math.pi:.6g} pi)\n")
 
     print("branch   gamma_g        gamma_d        gamma_total")
+    solution = solve_loop(pulse, 200_000)
     for branch in BRANCHES:
-        b = total_phase(pulse, branch, 200_000)
+        b = solution.breakdown(branch)
         print(f"{branch:5s} {b.gamma_g:14.9f} {b.gamma_d:14.9f} {b.gamma_total:14.9f}")
 
     space = FockSpace(args.dim)

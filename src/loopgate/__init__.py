@@ -24,7 +24,6 @@ from .evolve import (
     NumericPropagation,
     Trajectory,
     alpha_trajectory,
-    loop_closure_residual,
     propagate_displacement,
     propagate_numeric,
 )
@@ -55,12 +54,10 @@ from .model import (
     sigma_x_basis_change,
 )
 from .phase import (
+    LoopSolution,
     PhaseBreakdown,
-    big_g,
     drive_phase_integral,
-    dynamical_phase,
-    enclosed_area,
-    geometric_phase,
+    solve_loop,
     total_phase,
 )
 from .validate import ScanRow, ValidationReport, rwa_error_scan, truncation_scan

@@ -18,12 +18,11 @@ import warnings
 from dataclasses import replace
 
 from .config import RunConfig, load_config, parse_real
-from .errors import ConfigError, SimulationGuard, TrivialTargetWarning
-from .evolve import alpha_trajectory
+from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
 from .fock import FockSpace
 from .gate import design_circular_pulse, gate_matrix
 from .model import BRANCHES, Circular
-from .phase import enclosed_area, total_phase
+from .phase import solve_loop
 from .validate import rwa_error_scan, truncation_scan
 
 OUT_DIR_ENV = "LOOPGATE_OUT_DIR"
@@ -35,6 +34,8 @@ EXIT_REGRESSION = 3
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -80,6 +81,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_json_ready(payload), indent=2) + "\n"
 
 
+def _emit_rows(cfg: RunConfig, rows: list[dict]) -> None:
+    """CSV with one column per row key, in insertion order, or the JSON mirror."""
+    header = list(rows[0])
+    if cfg.out_format == "csv":
+        _emit(cfg.out_path, _csv_text(header, [[_fmt(row[key]) for key in header] for row in rows]))
+    else:
+        _emit(cfg.out_path, _json_text({"rows": rows}))
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "dt", None) is not None:
@@ -95,21 +105,17 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _phase_rows(cfg: RunConfig, allow_open: bool):
+def cmd_phases(args) -> int:
+    cfg = _load(args)
+    solution = solve_loop(
+        cfg.pulse, cfg.n_steps, closure_tol=cfg.closure_tol, require_closed=not args.allow_open
+    )
     rows = []
     for branch in BRANCHES:
-        breakdown = total_phase(
-            cfg.pulse,
-            branch,
-            cfg.n_steps,
-            closure_tol=cfg.closure_tol,
-            require_closed=not allow_open,
-        )
-        traj = alpha_trajectory(cfg.pulse, branch, cfg.n_steps + 1)
-        residual = float(abs(traj.alphas[-1]))
+        breakdown = solution.breakdown(branch)
         try:
-            area = enclosed_area(traj, closure_tol=cfg.closure_tol)
-        except SimulationGuard:
+            area = solution.area(branch)
+        except OpenLoopError:
             area = None
         rows.append(
             {
@@ -117,32 +123,11 @@ def _phase_rows(cfg: RunConfig, allow_open: bool):
                 "gamma_g": breakdown.gamma_g,
                 "gamma_d": breakdown.gamma_d,
                 "gamma_total": breakdown.gamma_total,
-                "closure_residual": residual,
+                "closure_residual": solution.closure_residual(branch),
                 "enclosed_area": area,
             }
         )
-    return rows
-
-
-def cmd_phases(args) -> int:
-    cfg = _load(args)
-    rows = _phase_rows(cfg, args.allow_open)
-    header = ["branch", "gamma_g", "gamma_d", "gamma_total", "closure_residual", "enclosed_area"]
-    if cfg.out_format == "csv":
-        body = [
-            [
-                row["branch"],
-                _fmt(row["gamma_g"]),
-                _fmt(row["gamma_d"]),
-                _fmt(row["gamma_total"]),
-                _fmt(row["closure_residual"]),
-                "" if row["enclosed_area"] is None else _fmt(row["enclosed_area"]),
-            ]
-            for row in rows
-        ]
-        _emit(cfg.out_path, _csv_text(header, body))
-    else:
-        _emit(cfg.out_path, _json_text({"rows": rows}))
+    _emit_rows(cfg, rows)
     return EXIT_OK
 
 
@@ -277,23 +262,18 @@ def cmd_sweep(args) -> int:
         pulse = cfg.pulse
         for name, value in zip(fields, combo):
             pulse = _sweep_pulse(pulse, name, value)
-        breakdown = total_phase(pulse, "++", cfg.n_steps, require_closed=False)
-        traj = alpha_trajectory(pulse, "++", cfg.n_steps + 1)
+        solution = solve_loop(pulse, cfg.n_steps, require_closed=False)
+        breakdown = solution.breakdown("++")
         rows.append(
             {
                 **{name: value for name, value in zip(fields, combo)},
                 "gamma_g": breakdown.gamma_g,
                 "gamma_d": breakdown.gamma_d,
                 "gamma_total": breakdown.gamma_total,
-                "closure_residual": float(abs(traj.alphas[-1])),
+                "closure_residual": solution.closure_residual("++"),
             }
         )
-    header = fields + ["gamma_g", "gamma_d", "gamma_total", "closure_residual"]
-    if cfg.out_format == "csv":
-        body = [[_fmt(row[key]) for key in header] for row in rows]
-        _emit(cfg.out_path, _csv_text(header, body))
-    else:
-        _emit(cfg.out_path, _json_text({"rows": rows}))
+    _emit_rows(cfg, rows)
     return EXIT_OK
 
 

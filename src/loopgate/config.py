@@ -17,9 +17,11 @@ Every violated precondition is reported with its section.key path, all at
 once, before any computation starts.
 """
 
+import ast
 import cmath
 import configparser
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -30,10 +32,26 @@ from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled,
 _ALLOWED_EXPR = re.compile(r"^[0-9pij+\-*/().eE\s]+$")
 _BARE_PI = re.compile(r"(?<=[0-9.)])pi")
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
 FORMAT_CHOICES = ("csv", "json")
 SCAN_KINDS = ("rwa", "truncation")
 
 _SWEEPABLE = ("g0", "nu", "phase0", "r0", "T")
+
+
+def _evaluate(node: ast.expr):
+    """Numbers, pi, the binary operators + - * / and unary signs; anything else is refused."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return float(node.value) if type(node.value) is int else node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed; use numbers, pi, j, + - * / and parentheses")
 
 
 def parse_scalar(text: str):
@@ -45,16 +63,11 @@ def parse_scalar(text: str):
         raise ValueError(f"invalid numeric expression {text!r}")
     s = _BARE_PI.sub("*pi", s)
     try:
-        value = eval(s, {"__builtins__": {}}, {"pi": math.pi})
-    except Exception as exc:
+        value = _evaluate(ast.parse(s, mode="eval").body)
+    except (SyntaxError, ArithmeticError, RecursionError, MemoryError) as exc:
+        # the parser reports nesting too deep for its stack as MemoryError
         raise ValueError(f"cannot parse {text!r}: {exc}") from None
-    if not isinstance(value, (int, float, complex)):
-        raise ValueError(f"{text!r} is not a number")
-    try:
-        finite = cmath.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not cmath.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
 

@@ -23,8 +23,6 @@ from .model import HamiltonianTier, PulseSpec, branch_lambda, cumulative_drive_i
 # product stays unitary to roundoff; anything above this signals misuse
 UNITARITY_TOL = 1e-8
 
-DEFAULT_CLOSURE_SAMPLES = 20001
-
 
 @dataclass(frozen=True)
 class NumericPropagation:
@@ -184,11 +182,3 @@ def alpha_trajectory(pulse: PulseSpec, branch: str, n_samples: int) -> Trajector
     alphas = -0.5j * lam * np.conjugate(cumulative_drive_integral(pulse, times))
     return Trajectory(times, alphas, branch)
 
-
-def loop_closure_residual(pulse: PulseSpec, branch: str, n_samples: int = DEFAULT_CLOSURE_SAMPLES) -> float:
-    """|alpha(T)| from a high-resolution trajectory; zero marks a cyclic evolution."""
-    lam = branch_lambda(branch)
-    if lam == 0:
-        return 0.0
-    traj = alpha_trajectory(pulse, branch, n_samples)
-    return float(abs(traj.alphas[-1]))

@@ -19,7 +19,7 @@ from .errors import InfeasibleConstraintError, NonUnitaryResultError, OpenLoopEr
 from .evolve import alpha_trajectory, propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
-from .phase import closure_tolerance, total_phase
+from .phase import closure_tolerance, solve_loop
 
 GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
 
@@ -90,8 +90,8 @@ def gate_matrix(
     if method == "analytic":
         if n_steps is None:
             n_steps = max(2, round(pulse.T / dt)) if dt is not None else 200_000
-        plus = total_phase(pulse, "++", n_steps, closure_tol=closure_tol)
-        minus = total_phase(pulse, "--", n_steps, closure_tol=closure_tol)
+        solution = solve_loop(pulse, n_steps, closure_tol=closure_tol)
+        plus, minus = solution.breakdown("++"), solution.breakdown("--")
         matrix = np.diag(
             [cmath.exp(1j * plus.gamma_total), 1.0, 1.0, cmath.exp(1j * minus.gamma_total)]
         ).astype(complex)

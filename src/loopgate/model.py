@@ -21,8 +21,9 @@ Branch order everywhere is ("++", "+-", "-+", "--") in the sigma_x product
 basis |+-> = (|g> +- |e>)/sqrt(2).
 """
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,6 +83,8 @@ class RamanParams:
     delta_2: float
 
     def __post_init__(self):
+        if not all(cmath.isfinite(value) for value in astuple(self)):
+            raise ValueError("RamanParams fields must be finite")
         scale = max(
             1.0,
             abs(self.omega_p),
@@ -120,10 +123,12 @@ class Circular:
     phase0: float = 0.0
 
     def __post_init__(self):
-        if self.g0 <= 0:
-            raise ValueError(f"Circular.g0 must be > 0, got {self.g0}")
-        if self.nu == 0:
-            raise ValueError("Circular.nu must be nonzero")
+        if not (self.g0 > 0 and math.isfinite(self.g0)):
+            raise ValueError(f"Circular.g0 must be finite and > 0, got {self.g0}")
+        if not (self.nu != 0 and math.isfinite(self.nu)):
+            raise ValueError(f"Circular.nu must be finite and nonzero, got {self.nu}")
+        if not math.isfinite(self.phase0):
+            raise ValueError(f"Circular.phase0 must be finite, got {self.phase0}")
 
     def g(self, t):
         return self.g0 * np.exp(1j * (self.phase0 - self.nu * np.asarray(t, dtype=float)))
@@ -146,8 +151,8 @@ class PiecewiseConstant:
         segs = tuple((float(d), complex(g)) for d, g in self.segments)
         if not segs:
             raise ValueError("PiecewiseConstant needs at least one segment")
-        if any(d <= 0 for d, _ in segs):
-            raise ValueError("segment durations must be positive")
+        if not all(d > 0 and math.isfinite(d) and cmath.isfinite(g) for d, g in segs):
+            raise ValueError("segment durations must be finite and positive, and values finite")
         object.__setattr__(self, "segments", segs)
         bounds = np.concatenate(([0.0], np.cumsum([d for d, _ in segs])))
         object.__setattr__(self, "_bounds", bounds)
@@ -183,11 +188,13 @@ class Sampled:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"Sampled.dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"Sampled.dt must be finite and > 0, got {self.dt}")
         vals = tuple(complex(v) for v in self.values)
         if len(vals) < 2:
             raise ValueError("Sampled needs at least two samples")
+        if not all(cmath.isfinite(v) for v in vals):
+            raise ValueError("Sampled values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_grid", self.dt * np.arange(len(vals)))
         object.__setattr__(self, "_array", np.array(vals))
@@ -219,10 +226,10 @@ class PulseSpec:
     r0: float = 0.0
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"PulseSpec.T must be > 0, got {self.T}")
-        if self.r0 < 0:
-            raise ValueError(f"PulseSpec.r0 must be >= 0, got {self.r0}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"PulseSpec.T must be finite and > 0, got {self.T}")
+        if not (self.r0 >= 0 and math.isfinite(self.r0)):
+            raise ValueError(f"PulseSpec.r0 must be finite and >= 0, got {self.r0}")
         natural = self.g_shape.natural_duration()
         if natural is not None and abs(natural - self.T) > _DURATION_RTOL * max(1.0, abs(self.T)):
             raise ValueError(

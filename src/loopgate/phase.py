@@ -15,11 +15,13 @@ multi-loop drives show additivity; reduction mod 2*pi happens only in the
 gate-level nontriviality test.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenLoopError
+from .errors import OpenLoopError, SimulationGuard
 from .evolve import Trajectory, alpha_trajectory
 from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
 
@@ -45,22 +47,6 @@ class PhaseBreakdown:
     branch: str
 
 
-def big_g(pulse: PulseSpec, t: float, n_steps: int = 4096) -> complex:
-    """G(t) = g(t)*I*(t) - conj(g(t))*I(t) with I(t) the running drive integral.
-
-    Purely imaginary up to quadrature error; the real part is a useful
-    leakage diagnostic.
-    """
-    if t < 0 or t > pulse.T * (1 + 1e-12) + 1e-12:
-        raise ValueError(f"t must lie in [0, T], got {t} with T={pulse.T}")
-    if t == 0:
-        return 0j
-    grid = np.linspace(0.0, t, n_steps + 1)
-    run = cumulative_drive_integral(pulse, grid)[-1]
-    g_t = complex(pulse.g(t))
-    return g_t * run.conjugate() - g_t.conjugate() * run
-
-
 def drive_phase_integral(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS) -> complex:
     """Integral of G(t) over the cycle; exact segment sums for piecewise drives."""
     shape = pulse.g_shape
@@ -77,26 +63,78 @@ def drive_phase_integral(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS) -
     return complex(np.sum(np.diff(grid) * (integrand[1:] + integrand[:-1]) / 2.0))
 
 
-def _loop_phase(alphas: np.ndarray) -> float:
-    """Discrete Im(integral of conj(alpha) dalpha) along the sampled path."""
-    return float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+@dataclass(frozen=True)
+class LoopSolution:
+    """One drive cycle solved on the ++ branch, with every other branch derived from it.
+
+    Branch lambda traces (lambda/2) times the ++ loop, so its closure residual
+    scales with |lambda/2| and its phases and area with (lambda/2)^2: the --
+    branch repeats the ++ numbers and the lambda = 0 branches report +0.0.
+    """
+
+    trajectory: Trajectory
+    loop_sum: float
+    drive_integral: complex
+    closure_tol: float
+
+    def breakdown(self, branch: str) -> PhaseBreakdown:
+        """Geometric, dynamical and total phase of one branch, unwrapped."""
+        lam = branch_lambda(branch)
+        if lam == 0:
+            return PhaseBreakdown(0.0, 0.0, 0.0, branch)
+        gamma_g = -self.loop_sum * (lam * lam / 4)
+        gamma_d = (0.25j * lam * lam * self.drive_integral).real
+        return PhaseBreakdown(gamma_g, gamma_d, gamma_g + gamma_d, branch)
+
+    def closure_residual(self, branch: str) -> float:
+        """|alpha(T)| of one branch; zero marks a cyclic evolution."""
+        return abs(branch_lambda(branch) / 2) * float(abs(self.trajectory.alphas[-1]))
+
+    def area(self, branch: str) -> float:
+        """Shoelace signed area of the branch loop, positive for counterclockwise paths.
+
+        Raises OpenLoopError when the loop does not close within the tolerance.
+        """
+        lam = branch_lambda(branch)
+        if lam == 0:
+            return 0.0
+        alphas = self.trajectory.alphas
+        residual = self.closure_residual(branch)
+        if not (residual <= self.closure_tol):
+            raise OpenLoopError(
+                f"trajectory for branch {branch} is not closed: |alpha(T) - alpha(0)| = {residual:.6e}"
+            )
+        closing = float((np.conjugate(alphas[-1]) * alphas[0]).imag)
+        return (lam * lam / 4) * 0.5 * (self.loop_sum + closing)
 
 
-def geometric_phase(pulse: PulseSpec, branch: str, n_steps: int = DEFAULT_PHASE_STEPS) -> float:
-    """Quadrature of (i/2)(conj(alpha) d/dt alpha - c.c.) along the branch trajectory."""
-    lam = branch_lambda(branch)
-    if lam == 0:
-        return 0.0
-    traj = alpha_trajectory(pulse, branch, n_steps + 1)
-    return -_loop_phase(traj.alphas)
+def solve_loop(
+    pulse: PulseSpec,
+    n_steps: int = DEFAULT_PHASE_STEPS,
+    closure_tol: float | None = None,
+    require_closed: bool = True,
+) -> LoopSolution:
+    """Sample the ++ loop on n_steps intervals and integrate G once, for every branch.
 
-
-def dynamical_phase(pulse: PulseSpec, branch: str, n_steps: int = DEFAULT_PHASE_STEPS) -> float:
-    """Minus the integrated coherent-state energy, (i/4) lambda^2 integral of G."""
-    lam = branch_lambda(branch)
-    if lam == 0:
-        return 0.0
-    return (0.25j * lam * lam * drive_phase_integral(pulse, n_steps)).real
+    Raises OpenLoopError when the loop fails to close and require_closed is
+    set; the closed-loop proportionality relations are meaningless for open
+    paths. Raises SimulationGuard when the loop sum or the G integral is not
+    finite: the drive is too strong for double precision.
+    """
+    traj = alpha_trajectory(pulse, "++", n_steps + 1)
+    tol = closure_tolerance(traj.alphas, closure_tol)
+    residual = float(abs(traj.alphas[-1]))
+    if require_closed and not (residual <= tol):
+        raise OpenLoopError(f"trajectory for branch ++ does not close: |alpha(T)| = {residual:.6e}")
+    # discrete Im(integral of conj(alpha) dalpha) along the sampled path
+    loop_sum = float(np.sum((np.conjugate(traj.alphas[:-1]) * traj.alphas[1:]).imag))
+    drive_integral = drive_phase_integral(pulse, n_steps)
+    if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
+        raise SimulationGuard(
+            "phase sums over the drive cycle are not finite; "
+            "the drive is too strong for double-precision arithmetic"
+        )
+    return LoopSolution(traj, loop_sum, drive_integral, tol)
 
 
 def total_phase(
@@ -106,33 +144,5 @@ def total_phase(
     closure_tol: float | None = None,
     require_closed: bool = True,
 ) -> PhaseBreakdown:
-    """Geometric plus dynamical phase for one branch of a closed-loop drive.
-
-    Raises OpenLoopError when the trajectory fails to close and
-    require_closed is set; the closed-loop proportionality relations are
-    meaningless for open paths.
-    """
-    lam = branch_lambda(branch)
-    traj = alpha_trajectory(pulse, branch, n_steps + 1)
-    residual = float(abs(traj.alphas[-1]))
-    if require_closed and not (residual <= closure_tolerance(traj.alphas, closure_tol)):
-        raise OpenLoopError(
-            f"trajectory for branch {branch} does not close: |alpha(T)| = {residual:.6e}"
-        )
-    if lam == 0:
-        return PhaseBreakdown(0.0, 0.0, 0.0, branch)
-    gamma_g = -_loop_phase(traj.alphas)
-    gamma_d = (0.25j * lam * lam * drive_phase_integral(pulse, n_steps)).real
-    return PhaseBreakdown(gamma_g, gamma_d, gamma_g + gamma_d, branch)
-
-
-def enclosed_area(traj: Trajectory, closure_tol: float | None = None) -> float:
-    """Shoelace signed area of the sampled loop, positive for counterclockwise paths."""
-    alphas = traj.alphas
-    residual = float(abs(alphas[-1] - alphas[0]))
-    if not (residual <= closure_tolerance(alphas, closure_tol)):
-        raise OpenLoopError(
-            f"trajectory for branch {traj.branch} is not closed: |alpha(T) - alpha(0)| = {residual:.6e}"
-        )
-    closing = (np.conjugate(alphas[-1]) * alphas[0]).imag
-    return 0.5 * (_loop_phase(alphas) + float(closing))
+    """Geometric plus dynamical phase for one branch of a closed-loop drive; see solve_loop."""
+    return solve_loop(pulse, n_steps, closure_tol, require_closed).breakdown(branch)

@@ -17,9 +17,7 @@ from loopgate import (
     PiecewiseConstant,
     PulseSpec,
     TrivialTargetWarning,
-    alpha_trajectory,
     design_circular_pulse,
-    enclosed_area,
     entangling_check,
     gate_fidelity,
     gate_matrix,
@@ -27,6 +25,7 @@ from loopgate import (
     nontriviality,
     propagate_displacement,
     rwa_error_scan,
+    solve_loop,
     total_phase,
     truncation_scan,
 )
@@ -96,8 +95,9 @@ def test_c3_area_law():
     for g0, nu, loops in circle_family():
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu), T=loops * 2 * math.pi / abs(nu))
         n = 32_768 * loops
-        gamma = total_phase(pulse, "++", n).gamma_total
-        area = enclosed_area(alpha_trajectory(pulse, "++", n + 1))
+        solution = solve_loop(pulse, n)
+        gamma = solution.breakdown("++").gamma_total
+        area = solution.area("++")
         assert gamma == pytest.approx(2 * area, rel=1e-6)
         mirrored = PulseSpec(g_shape=Circular(g0=g0, nu=-nu), T=pulse.T)
         assert total_phase(mirrored, "++", n).gamma_total == pytest.approx(-gamma, rel=1e-6)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,15 +57,36 @@ class TestScalarParsing:
     def test_complex(self):
         assert parse_scalar("0.1+0.2j") == 0.1 + 0.2j
 
-    @pytest.mark.parametrize("text", ["", "import os", "x", "1_0", "pi**2 #"])
+    @pytest.mark.parametrize(
+        "text,expected", [("+2pi", 2 * math.pi), ("-(1+2)*3", -9), ("1/4-0.5j", 0.25 - 0.5j)]
+    )
+    def test_arithmetic(self, text, expected):
+        assert parse_scalar(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "import os", "x", "1_0", "pi**2 #", "10**400", "2**3", "pi // 2", "1 % 2", "j", "pij", "(pi)j", "1/0", "()"],
+    )
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_scalar(text)
 
-    @pytest.mark.parametrize("text", ["10**400", "1e400", "-1e400", "1e400j", "1e308*10"])
+    @pytest.mark.parametrize("depth", [2000, 100_000])
+    def test_rejects_deep_expressions(self, depth):
+        for text in ("-" * depth + "1", "(" * depth + "1" + ")" * depth, "1" + "+1" * depth):
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e400j", "1e308*10"])
     def test_rejects_non_finite(self, text):
         with pytest.raises(ValueError, match="finite"):
             parse_scalar(text)
+
+    def test_power_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG.replace("g0 = 0.1", "g0 = 2**3"))
+        assert cli.main(["phases", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pulse.g0: ") and "not allowed" in err
 
     @pytest.mark.parametrize("key,old,new", [("g0", "0.1", "10**400"), ("phase0", "0", "1e400")])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, old, new):
@@ -183,6 +205,22 @@ def test_nan_trajectory_fails_closure_guard(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "does not close" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["phases"], ["phases", "--allow-open"], ["gate"], ["sweep"]],
+    ids=["phases", "phases-allow-open", "gate", "sweep"],
+)
+def test_overflowing_phase_sums_are_a_guard(tmp_path, capsys, argv):
+    # the loop closes within its relative tolerance, but |alpha|^2 overflows
+    text = CIRCULAR_CONFIG.replace("g0 = 0.1", "g0 = 1e200") + "\n[sweep]\nnu = 0.2 -0.2\n"
+    cfg = write(tmp_path / "h.ini", text)
+    assert cli.main([*argv, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not finite" in captured.err
     assert captured.out == ""
 
 
@@ -374,6 +412,30 @@ n_steps = 65536
         cfg = write(tmp_path / "r.ini", self.RAMAN.replace("omega_p = 101.0", "omega_p = 102.0"))
         assert cli.main(["phases", "--config", cfg]) == 1
         assert "resonance" in capsys.readouterr().err
+
+
+GOLDEN_CONFIGS = {
+    # the README's example drives, each closed so every subcommand accepts it
+    "circular": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nphase0 = 0\nr0 = 0\nloops = 1\n\n"
+    "[space]\ndim = 32\n\n[run]\nmethod = analytic\nn_steps = 100000\n\n[sweep]\ng0 = 0.05 0.1 0.2\n",
+    "piecewise": "[pulse]\nshape = piecewise\nsegments = 1.0 0.1+0j; 0.5 -0.2+0.1j; 1.0 -0.05j\n\n"
+    "[sweep]\nr0 = 0 0.5 1\n",
+    "sampled": "[pulse]\nshape = sampled\ndt = 0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n\n"
+    "[sweep]\nr0 = 0 0.5 1\n",
+}
+
+# Outputs recorded before the per-branch phase functions were folded into one
+# loop solution; the README promises byte-identical files, so these never get
+# re-recorded to absorb a numerical change.
+GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS))
+def test_outputs_byte_identical_to_recorded(tmp_path, capsys, key):
+    command, drive, fmt = key.split("-")
+    cfg = write(tmp_path / "g.ini", GOLDEN_CONFIGS[drive])
+    assert cli.main([command, "--config", cfg, "--format", fmt]) == 0
+    assert capsys.readouterr().out == GOLDEN_OUTPUTS[key]
 
 
 def test_import_loads_no_scipy():

@@ -14,10 +14,10 @@ from loopgate import (
     Trajectory,
     alpha_trajectory,
     hamiltonian_rwa,
-    loop_closure_residual,
     propagate_displacement,
     propagate_numeric,
     sigma_x_basis_change,
+    solve_loop,
     vacuum,
 )
 from loopgate.evolve import propagate_states
@@ -129,10 +129,8 @@ class TestDisplacementEngine:
         backward = propagate_displacement(reversed_pulse, "++", 50_000)
         assert backward.phase == pytest.approx(-forward.phase, abs=1e-9)
         # cross-check orientation against the signed shoelace area
-        from loopgate import enclosed_area
-
-        area_fwd = enclosed_area(alpha_trajectory(standard_pulse, "++", 50_001))
-        area_bwd = enclosed_area(alpha_trajectory(reversed_pulse, "++", 50_001))
+        area_fwd = solve_loop(standard_pulse, 50_000).area("++")
+        area_bwd = solve_loop(reversed_pulse, 50_000).area("++")
         assert forward.phase == pytest.approx(2 * area_fwd, rel=1e-6)
         assert area_bwd == pytest.approx(-area_fwd, rel=1e-9)
 
@@ -169,16 +167,21 @@ class TestTrajectory:
 
 class TestLoopClosure:
     def test_closed_circle(self, standard_pulse):
-        assert loop_closure_residual(standard_pulse, "++") < 1e-8
+        solution = solve_loop(standard_pulse, 20_000)
+        assert solution.closure_residual("++") < 1e-8
+        assert solution.closure_residual("--") == solution.closure_residual("++")
 
     def test_three_quarter_loops(self):
         # |alpha(T)| = (g0/nu)|e^{i 1.5 * 2pi} - 1| = 2 g0/nu
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.5 * 2 * math.pi / 0.2)
-        assert loop_closure_residual(pulse, "++") == pytest.approx(2 * 0.1 / 0.2, rel=1e-6)
+        solution = solve_loop(pulse, 20_000, require_closed=False)
+        assert solution.closure_residual("++") == pytest.approx(2 * 0.1 / 0.2, rel=1e-6)
+        assert solution.closure_residual("-+") == 0.0
 
     def test_zero_drive(self, zero_pulse):
-        assert loop_closure_residual(zero_pulse, "++") == 0.0
-        assert loop_closure_residual(zero_pulse, "+-") == 0.0
+        solution = solve_loop(zero_pulse, 20_000)
+        assert solution.closure_residual("++") == 0.0
+        assert solution.closure_residual("+-") == 0.0
 
 
 class TestEngineAgreement:

@@ -107,6 +107,35 @@ class TestPulseSpec:
         t = 0.7321
         assert standard_pulse.g(t) == standard_pulse.g(t)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.0, r0=math.nan),
+            lambda: PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.0, r0=math.inf),
+            lambda: PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=math.inf),
+            lambda: PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=math.nan),
+            lambda: Circular(g0=math.nan, nu=0.2),
+            lambda: Circular(g0=math.inf, nu=0.2),
+            lambda: Circular(g0=0.1, nu=math.nan),
+            lambda: Circular(g0=0.1, nu=-math.inf),
+            lambda: Circular(g0=0.1, nu=0.2, phase0=math.inf),
+            lambda: Circular(g0=0.1, nu=0.2, phase0=math.nan),
+            lambda: PiecewiseConstant(segments=((math.nan, 0.1),)),
+            lambda: PiecewiseConstant(segments=((math.inf, 0.1),)),
+            lambda: PiecewiseConstant(segments=((1.0, 0.1), (1.0, complex(0.0, math.nan)))),
+            lambda: PiecewiseConstant(segments=((1.0, math.inf),)),
+            lambda: Sampled(dt=math.nan, values=(0.0, 0.1)),
+            lambda: Sampled(dt=math.inf, values=(0.0, 0.1)),
+            lambda: Sampled(dt=0.5, values=(0.0, complex(math.inf, 0.0))),
+            lambda: Sampled(dt=0.5, values=(math.nan, 0.1)),
+            lambda: make_raman(delta_1=math.nan),
+            lambda: make_raman(rabi_g=complex(math.inf, 0.0)),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 SAMPLED_PULSE = PulseSpec(
     g_shape=Sampled(dt=0.25, values=tuple(0.1 * np.exp(-0.5j * np.arange(41)) * np.cos(np.arange(41)))),

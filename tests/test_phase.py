@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from loopgate import (
@@ -10,14 +12,11 @@ from loopgate import (
     PiecewiseConstant,
     PulseSpec,
     Sampled,
-    Trajectory,
+    SimulationGuard,
     alpha_trajectory,
-    big_g,
     drive_phase_integral,
-    dynamical_phase,
-    enclosed_area,
-    geometric_phase,
     propagate_displacement,
+    solve_loop,
     total_phase,
 )
 from loopgate.model import cumulative_drive_integral
@@ -25,55 +24,66 @@ from conftest import random_closed_piecewise
 
 
 class TestBigG:
-    def test_zero_at_start(self, standard_pulse):
-        assert big_g(standard_pulse, 0.0) == 0j
+    """G(t) = g(t)*conj(I(t)) - conj(g(t))*I(t), through its integral over the cycle."""
 
-    def test_circular_closed_form(self, standard_pulse):
-        # G(t) = -2i g0^2 (1 - cos(nu t)) / nu for the circular drive
+    def test_circular_closed_form(self):
+        # G(t) = -2i g0^2 (1 - cos(nu t)) / nu for the circular drive, so a
+        # cycle of k loops integrates to -2i g0^2 T / nu
         g0, nu = 0.1, 0.2
-        for t in (0.8, 7.3, 22.0, standard_pulse.T):
-            expected = -2j * g0**2 * (1 - math.cos(nu * t)) / nu
-            assert big_g(standard_pulse, t, n_steps=20000) == pytest.approx(expected, abs=1e-8)
+        for loops in (1, 2):
+            T = loops * 2 * math.pi / nu
+            pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu), T=T)
+            expected = -2j * g0**2 * T / nu
+            assert drive_phase_integral(pulse, 200_000 * loops) == pytest.approx(expected, abs=1e-8)
 
     def test_real_constant_drive_vanishes(self):
-        pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 0.25),)), T=3.0)
-        for t in (0.0, 1.1, 3.0):
-            assert big_g(pulse, t) == 0j
+        for segments in (((3.0, 0.25),), ((1.0, 0.25), (2.0, -0.125))):
+            pulse = PulseSpec(g_shape=PiecewiseConstant(segments=segments), T=3.0)
+            assert drive_phase_integral(pulse) == 0j
 
-    def test_purely_imaginary(self, standard_pulse):
-        value = big_g(standard_pulse, 13.0, n_steps=20000)
+    def test_purely_imaginary(self):
+        pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=13.0)
+        value = drive_phase_integral(pulse, 20000)
         assert abs(value.real) < 1e-10
 
 
 class TestPhases:
     def test_lambda_zero_branches(self, standard_pulse):
+        solution = solve_loop(standard_pulse, 1000)
         for branch in ("+-", "-+"):
-            assert geometric_phase(standard_pulse, branch, 1000) == 0.0
-            assert dynamical_phase(standard_pulse, branch, 1000) == 0.0
-            breakdown = total_phase(standard_pulse, branch, 1000)
-            assert (breakdown.gamma_g, breakdown.gamma_d, breakdown.gamma_total) == (0.0, 0.0, 0.0)
+            for breakdown in (solution.breakdown(branch), total_phase(standard_pulse, branch, 1000)):
+                values = (breakdown.gamma_g, breakdown.gamma_d, breakdown.gamma_total)
+                assert values == (0.0, 0.0, 0.0)
+                assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_circle_geometric(self, standard_pulse):
-        assert geometric_phase(standard_pulse, "++", 100_000) == pytest.approx(
+        assert solve_loop(standard_pulse, 100_000).breakdown("++").gamma_g == pytest.approx(
             -math.pi / 2, abs=1e-6
         )
 
     def test_circle_dynamical(self, standard_pulse):
-        assert dynamical_phase(standard_pulse, "++", 100_000) == pytest.approx(math.pi, abs=1e-6)
+        assert solve_loop(standard_pulse, 100_000).breakdown("++").gamma_d == pytest.approx(
+            math.pi, abs=1e-6
+        )
 
     def test_outer_branches_equal(self, standard_pulse):
-        assert dynamical_phase(standard_pulse, "--", 50_000) == pytest.approx(
-            dynamical_phase(standard_pulse, "++", 50_000), abs=1e-9
+        # -- traces the ++ loop point-reflected, so the loop sum over its own
+        # sampled trajectory is the ++ sum bit for bit
+        solution = solve_loop(standard_pulse, 50_000)
+        plus, minus = solution.breakdown("++"), solution.breakdown("--")
+        assert (minus.gamma_g, minus.gamma_d, minus.gamma_total) == (
+            plus.gamma_g,
+            plus.gamma_d,
+            plus.gamma_total,
         )
-        assert geometric_phase(standard_pulse, "--", 50_000) == pytest.approx(
-            geometric_phase(standard_pulse, "++", 50_000), abs=1e-9
-        )
+        alphas = alpha_trajectory(standard_pulse, "--", 50_001).alphas
+        assert minus.gamma_g == -float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
 
     def test_two_loops_double_the_phase(self):
         one = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=2 * math.pi / 0.2)
         two = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=2 * 2 * math.pi / 0.2)
-        assert geometric_phase(two, "++", 131_072) == pytest.approx(
-            2 * geometric_phase(one, "++", 65_536), abs=1e-6
+        assert solve_loop(two, 131_072).breakdown("++").gamma_g == pytest.approx(
+            2 * solve_loop(one, 65_536).breakdown("++").gamma_g, abs=1e-6
         )
 
     def test_total_circle_breakdown(self, standard_pulse):
@@ -171,36 +181,98 @@ class TestPiecewiseGate:
         assert defect < 1e-12
 
 
+@st.composite
+def closed_drives(draw):
+    """A closed circular drive (1-3 loops) or a closed polygon from conftest, with its step count.
+
+    Returns the relative tolerance the relations hold to: the trapezoid bias
+    on circles sampled at 16384 steps per loop, roundoff on polygons whose
+    corners sit on the grid.
+    """
+    if draw(st.booleans()):
+        g0 = draw(st.floats(0.01, 0.5))
+        nu = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((1, -1)))
+        loops = draw(st.integers(1, 3))
+        shape = Circular(g0=g0, nu=nu, phase0=draw(st.floats(-math.pi, math.pi)))
+        return PulseSpec(g_shape=shape, T=loops * 2 * math.pi / abs(nu)), 16_384 * loops, 1e-6
+    pulse, n_steps = random_closed_piecewise(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return pulse, n_steps, 1e-8
+
+
+class TestLoopSolutionRelations:
+    @settings(max_examples=40, deadline=None)
+    @given(closed_drives())
+    def test_closed_loop_relations(self, drive):
+        pulse, n_steps, rtol = drive
+        solution = solve_loop(pulse, n_steps)
+        plus = solution.breakdown("++")
+        tol = rtol * max(abs(plus.gamma_total), 1e-3)
+        assert plus.gamma_total == pytest.approx(-plus.gamma_g, abs=tol)
+        assert plus.gamma_total == pytest.approx(plus.gamma_d / 2, abs=tol)
+        assert solution.area("++") == pytest.approx(plus.gamma_total / 2, abs=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_drives())
+    def test_branch_rows(self, drive):
+        pulse, n_steps, _ = drive
+        solution = solve_loop(pulse, n_steps)
+
+        def row(branch):
+            b = solution.breakdown(branch)
+            return (b.gamma_g, b.gamma_d, b.gamma_total, solution.closure_residual(branch), solution.area(branch))
+
+        assert row("--") == row("++")
+        for branch in ("+-", "-+"):
+            assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in row(branch))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "shape,T",
+    [
+        # |alpha| stays finite but |alpha|^2 overflows
+        (Circular(g0=1e200, nu=0.2), 2 * math.pi / 0.2),
+        (PiecewiseConstant(segments=((1.0, 1e200), (1.0, 1e200j), (1.0, -1e200), (1.0, -1e200j))), 4.0),
+    ],
+    ids=["circular", "piecewise"],
+)
+@pytest.mark.parametrize("require_closed", [True, False])
+def test_overflowing_sums_rejected(shape, T, require_closed):
+    with pytest.raises(SimulationGuard, match="not finite"):
+        solve_loop(PulseSpec(g_shape=shape, T=T), 1000, require_closed=require_closed)
+
+
 class TestEnclosedArea:
     def test_circle_area(self):
-        # circle of radius R through the origin, sampled directly
+        # alpha(t) = (g0/nu)(1 - e^{i nu t}): a counterclockwise circle of radius g0/nu
         radius = 0.7
-        theta = np.linspace(0.0, 2 * math.pi, 10_001)
-        traj = Trajectory(
-            times=theta, alphas=radius * (np.exp(1j * theta) - 1.0), branch="++"
-        )
-        assert enclosed_area(traj) == pytest.approx(math.pi * radius**2, rel=1e-6)
+        pulse = PulseSpec(g_shape=Circular(g0=0.07, nu=0.1), T=2 * math.pi / 0.1)
+        assert solve_loop(pulse, 10_000).area("++") == pytest.approx(math.pi * radius**2, rel=1e-6)
 
     def test_orientation(self):
-        radius = 0.4
-        theta = np.linspace(0.0, 2 * math.pi, 5001)
-        forward = Trajectory(times=theta, alphas=radius * (np.exp(1j * theta) - 1), branch="++")
-        backward = Trajectory(times=theta, alphas=radius * (np.exp(-1j * theta) - 1), branch="++")
-        assert enclosed_area(backward) == pytest.approx(-enclosed_area(forward), rel=1e-12)
+        forward = PulseSpec(g_shape=Circular(g0=0.04, nu=0.1), T=2 * math.pi / 0.1)
+        backward = PulseSpec(g_shape=Circular(g0=0.04, nu=-0.1), T=forward.T)
+        assert solve_loop(backward, 5000).area("++") == pytest.approx(
+            -solve_loop(forward, 5000).area("++"), rel=1e-12
+        )
 
     def test_degenerate_point(self, zero_pulse):
-        traj = alpha_trajectory(zero_pulse, "++", 100)
-        assert enclosed_area(traj) == 0.0
+        solution = solve_loop(zero_pulse, 99)
+        assert [solution.area(branch) for branch in ("++", "+-", "-+", "--")] == [0.0] * 4
 
     def test_open_trajectory_rejected(self):
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.5 * 2 * math.pi / 0.2)
-        with pytest.raises(OpenLoopError):
-            enclosed_area(alpha_trajectory(pulse, "++", 10_001))
-        nan_end = Trajectory(times=[0.0, 1.0, 2.0], alphas=[0.0, 0.5j, complex("nan")], branch="++")
-        with pytest.raises(OpenLoopError):
-            enclosed_area(nan_end)
+        solution = solve_loop(pulse, 10_000, require_closed=False)
+        for branch in ("++", "--"):
+            with pytest.raises(OpenLoopError):
+                solution.area(branch)
+        assert solution.area("+-") == 0.0
+        # the trapezoid sums overflow, so alpha(T) is NaN: never a closed loop
+        huge = PulseSpec(g_shape=Circular(g0=1e308, nu=0.2), T=2 * math.pi / 0.2)
+        with np.errstate(all="ignore"), pytest.raises(OpenLoopError):
+            solve_loop(huge, 1000)
 
     def test_area_law(self, standard_pulse):
-        traj = alpha_trajectory(standard_pulse, "++", 65_537)
-        gamma = total_phase(standard_pulse, "++", 65_536).gamma_total
-        assert gamma == pytest.approx(2 * enclosed_area(traj), rel=1e-6)
+        solution = solve_loop(standard_pulse, 65_536)
+        gamma = solution.breakdown("++").gamma_total
+        assert gamma == pytest.approx(2 * solution.area("++"), rel=1e-6)
