@@ -15,13 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitaryResultError
-from .fock import FockSpace
-from .model import HamiltonianTier, PulseSpec, branch_lambda, cumulative_drive_integral, hamiltonian_builder
+from .errors import NonUnitaryResultError, SimulationGuard
+from .fock import FockSpace, annihilation, creation
+from .model import HamiltonianTier, PulseSpec, branch_lambda, cumulative_drive_integral
+from .model import hamiltonian_table, sigma_x_basis_change
 
-# step exponentials are built from Hermitian eigendecompositions, so the
-# product stays unitary to roundoff; anything above this signals misuse
+# the step product stays unitary to roundoff; anything above this signals misuse
 UNITARITY_TOL = 1e-8
+
+# a step series still above roundoff after this many terms is rejected
+SERIES_TERMS = 29
+# past this generator norm the last series term may still exceed the state itself
+_STEP_NORM_LIMIT = math.factorial(SERIES_TERMS) ** (1 / SERIES_TERMS)
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,16 @@ class NumericPropagation:
     unitary: np.ndarray
     method: str
     step_count: int
+    max_order: int
+    unitarity_defect: float
+
+
+@dataclass(frozen=True)
+class StatePropagation:
+    states: np.ndarray
+    step_count: int
+    max_order: int
+    norm_drift: float
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,92 @@ class Trajectory:
         object.__setattr__(self, "alphas", alphas)
 
 
+def _step_blocks(operators, weights, h, blocks):
+    """Apply exp(-i h sum_j weights[k, b, j] operators[j]) for k = 0, 1, ... to blocks (B, m, N).
+
+    Each step acts through a truncated Taylor series; returns the blocks and
+    the largest series order used.
+    """
+    coeffs = (-1j * h) * weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.max(np.abs(coeffs) @ np.linalg.norm(operators, ord=2, axis=(1, 2))))
+    if not math.isfinite(bound * bound):  # the convergence test below squares term norms
+        raise SimulationGuard(f"drive too strong for double precision: step generator norm {bound:.3g}")
+    if not (bound <= _STEP_NORM_LIMIT):
+        raise NonUnitaryResultError(f"step generator norm {bound:.3g} outruns the step series; reduce dt")
+    blocks = np.array(blocks, dtype=complex)
+    # a column of norm s has an entry of modulus >= s / sqrt(m), and steps keep
+    # norms, so |term|^2 < tol is never looser than max|term| < 1e-16 max(1, max|block|)
+    tol = 1e-32 * max(1.0, float(np.max(np.linalg.norm(blocks, axis=1))) ** 2 / blocks.shape[1])
+    # the operators are sparse: each step rewrites only the entries they touch
+    support = np.flatnonzero(np.any(operators, axis=0))
+    values = operators.reshape(len(operators), -1)[:, support]
+    gen = np.zeros((len(blocks), *operators.shape[1:]), dtype=complex)
+    top = 0
+    for step in coeffs:
+        gen.reshape(len(blocks), -1)[:, support] = step @ values
+        term = blocks
+        for order in range(1, SERIES_TERMS + 1):
+            term = gen @ term
+            term *= 1.0 / order
+            blocks += term
+            if np.vdot(term, term).real < tol:
+                break
+        else:
+            raise NonUnitaryResultError("step series failed to converge; reduce dt")
+        top = max(top, order)
+    return blocks, top
+
+
+def propagate_states(
+    tier: HamiltonianTier,
+    pulse: PulseSpec | list[PulseSpec],
+    space: FockSpace,
+    states: np.ndarray,
+    t0: float,
+    t1: float,
+    dt: float,
+) -> StatePropagation:
+    """Apply the midpoint-sampled short-time product over [t0, t1] to a block of state columns.
+
+    dt is rounded so the window divides into uniform steps; halving it reduces
+    the error at second order for continuous drives. ``pulse`` may also be a
+    sequence of pulses, stepped as one stack: the states then gain a leading
+    pulse axis.
+    """
+    pulses = (pulse,) if isinstance(pulse, PulseSpec) else tuple(pulse)
+    if not (dt > 0):
+        raise ValueError(f"dt must be > 0, got {dt}")
+    T = min(p.T for p in pulses)
+    if not (0 <= t0 < t1 <= T * (1 + 1e-12) + 1e-12):
+        raise ValueError(f"need 0 <= t0 < t1 <= T, got t0={t0}, t1={t1}, T={T}")
+    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    h = (t1 - t0) / n
+    tables = [hamiltonian_table(tier, p, space, t0 + (np.arange(n) + 0.5) * h) for p in pulses]
+    operators, weights = tables[0][0], np.stack([w for _, w in tables], axis=1)
+    columns = np.asarray(states, dtype=complex).reshape(len(states), -1)
+    stack = np.broadcast_to(columns, (len(pulses), *columns.shape))
+    if tier is HamiltonianTier.RWA_EFFECTIVE:
+        # (sigma1_x + sigma2_x) (x) a is diag(2, 0, 0, -2) (x) a in the branch basis
+        rows = sigma_x_basis_change() @ stack.reshape(len(pulses), 4, -1)
+        lam_weights = weights[:, :, None, :] * np.array([[2.0], [-2.0]])
+        outer, top = _step_blocks(
+            np.array([annihilation(space), creation(space)]),
+            lam_weights.reshape(n, -1, weights.shape[-1]),
+            h,
+            rows[:, [0, 3]].reshape(-1, space.dim, columns.shape[1]),
+        )
+        rows[:, [0, 3]] = outer.reshape(len(pulses), 2, -1)
+        final = (sigma_x_basis_change() @ rows).reshape(stack.shape)
+    else:
+        final, top = _step_blocks(operators, weights, h, stack)
+    drift = float(np.max(np.abs(np.linalg.norm(final, axis=1) - np.linalg.norm(columns, axis=0))))
+    if not (drift <= UNITARITY_TOL):
+        raise NonUnitaryResultError(f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space")
+    shape = np.shape(states) if isinstance(pulse, PulseSpec) else (len(pulses), *np.shape(states))
+    return StatePropagation(final.reshape(shape), n, top, drift)
+
+
 def propagate_numeric(
     tier: HamiltonianTier,
     pulse: PulseSpec,
@@ -73,79 +174,16 @@ def propagate_numeric(
     t1: float,
     dt: float,
 ) -> NumericPropagation:
-    """Product of midpoint-sampled short-time exponentials over [t0, t1].
-
-    The requested dt is rounded so the window divides into uniform steps.
-    Halving dt reduces the deviation from the exact evolution at second
-    order for continuous drives.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not (0 <= t0 < t1 <= pulse.T * (1 + 1e-12) + 1e-12):
-        raise ValueError(f"need 0 <= t0 < t1 <= T, got t0={t0}, t1={t1}, T={pulse.T}")
-    build = hamiltonian_builder(tier, pulse, space)
-    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
-    h = (t1 - t0) / n
-    dim = 4 * space.dim
-    unitary = np.eye(dim, dtype=complex)
-    for k in range(n):
-        ham = build(t0 + (k + 0.5) * h)
-        w, v = np.linalg.eigh(ham)
-        step = (v * np.exp(-1j * w * h)) @ v.conj().T
-        unitary = step @ unitary
-    defect = np.abs(unitary.conj().T @ unitary - np.eye(dim)).max()
-    if defect > UNITARITY_TOL:
+    """The full propagator over [t0, t1]: :func:`propagate_states` of the identity columns."""
+    result = propagate_states(tier, pulse, space, np.eye(4 * space.dim), t0, t1, dt)
+    unitary = result.states
+    defect = float(np.abs(unitary.conj().T @ unitary - np.eye(len(unitary))).max())
+    if not (defect <= UNITARITY_TOL):
         raise NonUnitaryResultError(
             f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}; "
             "reduce dt or enlarge the Fock space"
         )
-    return NumericPropagation(unitary=unitary, method=tier.value, step_count=n)
-
-
-def propagate_states(
-    tier: HamiltonianTier,
-    pulse: PulseSpec,
-    space: FockSpace,
-    states: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> np.ndarray:
-    """Apply the midpoint short-time product to a block of state columns.
-
-    Same stepping as :func:`propagate_numeric`, but each step exponential
-    acts on the columns through a truncated series (the step generators have
-    tiny norm, so a handful of terms reaches roundoff). Orders of magnitude
-    cheaper than forming the full unitary when only a few initial states
-    matter.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not (0 <= t0 < t1 <= pulse.T * (1 + 1e-12) + 1e-12):
-        raise ValueError(f"need 0 <= t0 < t1 <= T, got t0={t0}, t1={t1}, T={pulse.T}")
-    states = np.asarray(states, dtype=complex)
-    block = states.reshape(len(states), -1).copy()
-    norms = np.linalg.norm(block, axis=0)
-    build = hamiltonian_builder(tier, pulse, space)
-    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
-    h = (t1 - t0) / n
-    for k in range(n):
-        gen = (-1j * h) * build(t0 + (k + 0.5) * h)
-        term = block
-        for order in range(1, 30):
-            term = (gen @ term) / order
-            block = block + term
-            if np.abs(term).max() < 1e-16 * max(1.0, np.abs(block).max()):
-                break
-        else:
-            raise NonUnitaryResultError("step series failed to converge; reduce dt")
-    drift = np.abs(np.linalg.norm(block, axis=0) - norms).max()
-    if drift > UNITARITY_TOL:
-        raise NonUnitaryResultError(
-            f"state norms drifted by {drift:.3e} during propagation; "
-            "reduce dt or enlarge the Fock space"
-        )
-    return block.reshape(states.shape)
+    return NumericPropagation(unitary, tier.value, result.step_count, result.max_order, defect)
 
 
 def propagate_displacement(pulse: PulseSpec, branch: str, n_steps: int) -> DisplacementPropagation:

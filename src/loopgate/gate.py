@@ -40,6 +40,9 @@ class GateReport:
     fidelity: float
     nontrivial: bool
     method: str
+    # numeric methods only: largest step-series order and state-norm drift
+    max_order: int = 0
+    norm_drift: float = 0.0
 
 
 def ideal_gate(gamma: float) -> np.ndarray:
@@ -97,27 +100,10 @@ def gate_matrix(
         ).astype(complex)
         extracted = plus.gamma_total
         diagonality = 0.0
+        health = {}
     else:
-        tier = (
-            HamiltonianTier.RWA_EFFECTIVE
-            if method == "numeric_rwa"
-            else HamiltonianTier.ROTATING_FRAME
-        )
-        if dt is None:
-            dt = pulse.T / 4000
-        columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-        final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, dt)
-        matrix = columns.conj().T @ final
-        returns = np.abs(np.diag(matrix))
-        if returns.min() < _VACUUM_RETURN_MIN:
-            raise NonUnitaryResultError(
-                f"cavity failed to return to vacuum (min overlap {returns.min():.4f}); "
-                "enlarge the Fock space or reduce dt"
-            )
-        matrix = matrix / matrix[1, 1]
-        off = matrix - np.diag(np.diag(matrix))
-        diagonality = float(np.abs(off).max())
-        extracted = float(np.angle(matrix[0, 0]))
+        [(matrix, extracted, diagonality)], result = _numeric_gates([pulse], space, method, dt)
+        health = {"max_order": result.max_order, "norm_drift": result.norm_drift}
 
     fidelity = gate_fidelity(matrix, ideal_gate(extracted))
     return GateReport(
@@ -128,7 +114,30 @@ def gate_matrix(
         fidelity=fidelity,
         nontrivial=nontriviality(extracted),
         method=method,
+        **health,
     )
+
+
+def _numeric_gates(pulses, space, method, dt):
+    """(matrix, gamma, diagonality) per pulse, stepped as one stack, and the propagation."""
+    tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
+    if dt is None:
+        dt = pulses[0].T / 4000
+    columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
+    result = propagate_states(tier, pulses, space, columns, 0.0, pulses[0].T, dt)
+    gates = []
+    for final in result.states:
+        matrix = columns.conj().T @ final
+        returns = np.abs(np.diag(matrix))
+        if not (returns.min() >= _VACUUM_RETURN_MIN):
+            raise NonUnitaryResultError(
+                f"cavity failed to return to vacuum (min overlap {returns.min():.4f}); "
+                "enlarge the Fock space or reduce dt"
+            )
+        matrix = matrix / matrix[1, 1]
+        off = matrix - np.diag(np.diag(matrix))
+        gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max())))
+    return gates, result
 
 
 def design_circular_pulse(

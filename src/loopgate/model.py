@@ -264,48 +264,43 @@ def _two_atom(op: np.ndarray) -> np.ndarray:
 
 
 def sigma_x_basis_change() -> np.ndarray:
-    """Self-inverse unitary between the bare product basis and the sigma_x product basis."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    return np.kron(h, h)
+    """Self-inverse unitary between the bare and the sigma_x product basis; entries exactly +-1/2."""
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex)
+    return np.kron(hadamard, hadamard) / 2
+
+
+def hamiltonian_table(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace, times):
+    """Fixed operators and per-time weights of a tier: H(t_k) = sum_j weights[k, j] * operators[j].
+
+    The drive is sampled once for all times. Each operator is followed by its
+    adjoint, weighted by the conjugate weight, so every H(t_k) is Hermitian.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    a = annihilation(space)
+    half = 0.5 * np.asarray(pulse.g(times), dtype=complex)
+    x_a = np.kron(_two_atom(_SIGMA_X), a)
+    if tier is HamiltonianTier.RWA_EFFECTIVE:
+        operators, weights = [x_a], [half]
+    elif tier is HamiltonianTier.ROTATING_FRAME:
+        p = np.exp(2j * pulse.r0 * times)
+        operators = [x_a, np.kron(_two_atom(_PLUS_MINUS), a), np.kron(_two_atom(_MINUS_PLUS), a)]
+        weights = [half, half * p, -half * p.conj()]
+    elif tier is HamiltonianTier.FULL_EFFECTIVE:
+        # the classical flips r0 (sigma1_x + sigma2_x) split into two equal halves
+        operators = [np.kron(_two_atom(_SIGMA_PLUS), a), np.kron(_two_atom(_SIGMA_X), np.eye(space.dim))]
+        weights = [2 * half, np.full(times.shape, 0.5 * pulse.r0)]
+    else:
+        raise ValueError(f"unknown tier {tier!r}")
+    operators, weights = np.array(operators), np.stack(weights, axis=-1)
+    adjoints = operators.conj().transpose(0, 2, 1)
+    return np.concatenate([operators, adjoints]), np.concatenate([weights, weights.conj()], axis=-1)
 
 
 def hamiltonian_builder(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace):
-    """Return a callable t -> H(t) for the requested tier.
-
-    Static operator factors are precomputed once so the per-step cost inside
-    a propagation loop is a few scalar-matrix updates.
-    """
-    a = annihilation(space)
-    if tier is HamiltonianTier.RWA_EFFECTIVE:
-        kx_a = np.kron(_two_atom(_SIGMA_X), a)
-        kx_adag = kx_a.conj().T
-
-        def build(t: float) -> np.ndarray:
-            g = complex(pulse.g(t))
-            return 0.5 * (g * kx_a + g.conjugate() * kx_adag)
-
-    elif tier is HamiltonianTier.ROTATING_FRAME:
-        kx_a = np.kron(_two_atom(_SIGMA_X), a)
-        kpm_a = np.kron(_two_atom(_PLUS_MINUS), a)
-        kmp_a = np.kron(_two_atom(_MINUS_PLUS), a)
-        r0 = pulse.r0
-
-        def build(t: float) -> np.ndarray:
-            g = complex(pulse.g(t))
-            p = complex(np.exp(2j * r0 * t))
-            half = 0.5 * g * (kx_a + p * kpm_a - p.conjugate() * kmp_a)
-            return half + half.conj().T
-
-    elif tier is HamiltonianTier.FULL_EFFECTIVE:
-        exchange = np.kron(_two_atom(_SIGMA_PLUS), a)
-        classical = pulse.r0 * np.kron(_two_atom(_SIGMA_X), np.eye(space.dim))
-
-        def build(t: float) -> np.ndarray:
-            half = complex(pulse.g(t)) * exchange
-            return classical + half + half.conj().T
-
-    else:
-        raise ValueError(f"unknown tier {tier!r}")
+    """Return a callable t -> H(t) for the requested tier, evaluated from :func:`hamiltonian_table`."""
+    def build(t: float) -> np.ndarray:
+        operators, weights = hamiltonian_table(tier, pulse, space, t)
+        return np.tensordot(weights[0], operators, axes=1)
 
     return build
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import StepTooCoarseError, TruncationGuardError
 from .evolve import alpha_trajectory
 from .fock import FockSpace
-from .gate import GateReport, gate_fidelity, gate_matrix
+from .gate import GateReport, _numeric_gates, gate_fidelity, gate_matrix
 from .model import PulseSpec
 
 # keep >= ~60 samples per fast 2*r0 oscillation
@@ -81,20 +81,17 @@ def rwa_error_scan(
             "the 2*r0 oscillation would be unresolved and the comparison meaningless"
         )
     reference = gate_matrix(pulse, space, method="numeric_rwa", dt=dt)
-    rows = []
-    for r0 in values:
-        driven = replace(pulse, r0=r0)
-        rotating = gate_matrix(driven, space, method="numeric_rotating", dt=dt)
-        rows.append(
-            ScanRow(
-                parameter_value=r0,
-                infidelity=1.0 - gate_fidelity(rotating.matrix, reference.matrix),
-                diagonality_residual=rotating.diagonality_residual,
-                phase_error=_wrapped_phase_distance(
-                    rotating.extracted_gamma, reference.extracted_gamma
-                ),
-            )
+    # every r0 shares T and dt, so the rotating-frame gates are stepped as one stack
+    gates, _ = _numeric_gates([replace(pulse, r0=r0) for r0 in values], space, "numeric_rotating", dt)
+    rows = [
+        ScanRow(
+            parameter_value=r0,
+            infidelity=1.0 - gate_fidelity(matrix, reference.matrix),
+            diagonality_residual=diagonality,
+            phase_error=_wrapped_phase_distance(gamma, reference.extracted_gamma),
         )
+        for r0, (matrix, gamma, diagonality) in zip(values, gates)
+    ]
     monotone = all(b.infidelity <= a.infidelity for a, b in zip(rows, rows[1:]))
     return ValidationReport(rows=tuple(rows), monotone_flag=monotone, kind="rwa")
 

@@ -224,6 +224,22 @@ def test_overflowing_phase_sums_are_a_guard(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["numeric_rwa", "numeric_rotating"])
+@pytest.mark.parametrize(
+    "g0,message", [("1e200", "too strong for double precision"), ("1e4", "reduce dt")]
+)
+def test_overdriven_numeric_gate_is_refused_before_stepping(tmp_path, capsys, method, g0, message):
+    # 1e200 squares past the float range; 1e4 is finite but far past what one step absorbs
+    text = CIRCULAR_CONFIG.replace("g0 = 0.1", f"g0 = {g0}").replace("r0 = 0", "r0 = 10")
+    text = text.replace("[run]", f"[run]\nmethod = {method}") + "\n[space]\ndim = 4\n"
+    cfg = write(tmp_path / "o.ini", text)
+    assert cli.main(["gate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
 class TestDesignCommand:
     def test_solution_and_round_trip(self, tmp_path, capsys):
         assert cli.main(["design", "pi/2", "--g0", "0.1"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from loopgate import (
@@ -9,6 +11,7 @@ from loopgate import (
     Circular,
     FockSpace,
     HamiltonianTier,
+    NonUnitaryResultError,
     PiecewiseConstant,
     PulseSpec,
     Trajectory,
@@ -16,11 +19,15 @@ from loopgate import (
     hamiltonian_rwa,
     propagate_displacement,
     propagate_numeric,
+    SimulationGuard,
+    gate_matrix,
     sigma_x_basis_change,
     solve_loop,
     vacuum,
 )
-from loopgate.evolve import propagate_states
+from loopgate import evolve, gate
+from loopgate.evolve import StatePropagation, propagate_states
+from loopgate.model import hamiltonian_builder
 
 
 def circle_phase(g0, nu, loops, lam=2):
@@ -56,6 +63,8 @@ class TestNumericPropagator:
         )
         defect = np.abs(prop.unitary.conj().T @ prop.unitary - np.eye(32)).max()
         assert defect < 1e-10
+        assert prop.unitarity_defect == defect
+        assert 1 <= prop.max_order < evolve.SERIES_TERMS
 
     def test_second_order_convergence(self):
         pulse = PulseSpec(g_shape=Circular(g0=0.2, nu=0.7, phase0=0.3), T=4.0, r0=1.0)
@@ -76,6 +85,10 @@ class TestNumericPropagator:
             propagate_numeric(
                 HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 2.0, 1.0, 0.1
             )
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            propagate_numeric(
+                HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, float("nan")
+            )
 
     def test_states_path_diverging_step_is_caught(self):
         from loopgate import NonUnitaryResultError
@@ -95,8 +108,119 @@ class TestNumericPropagator:
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
         final = propagate_states(
             HamiltonianTier.RWA_EFFECTIVE, standard_pulse, space, columns, 0.0, standard_pulse.T, dt
-        )
+        ).states
         assert np.abs(final - prop.unitary @ columns).max() < 1e-12
+
+    def test_rwa_middle_branches_come_back_unchanged(self, standard_pulse):
+        # the branch basis change is exact on these columns, and the +- and -+ rows never move
+        space = FockSpace(6)
+        columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
+        result = propagate_states(
+            HamiltonianTier.RWA_EFFECTIVE, standard_pulse, space, columns, 0.0, standard_pulse.T, 0.1
+        )
+        assert np.array_equal(result.states[:, 1:3], columns[:, 1:3])
+        assert 1 <= result.max_order < evolve.SERIES_TERMS
+        assert 0.0 <= result.norm_drift < 1e-12
+
+    def test_stacked_pulses_match_one_at_a_time(self, standard_pulse):
+        space = FockSpace(6)
+        pulses = [PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=r0) for r0 in (0.5, 2.0)]
+        start = np.eye(24, 3, dtype=complex)
+        args = (space, start, 0.0, 5.0, 0.05)
+        stacked = propagate_states(HamiltonianTier.ROTATING_FRAME, pulses, *args).states
+        assert stacked.shape == (2, 24, 3)
+        for pulse, final in zip(pulses, stacked):
+            single = propagate_states(HamiltonianTier.ROTATING_FRAME, pulse, *args).states
+            assert np.abs(final - single).max() < 1e-14
+
+
+def eigh_product(tier, pulse, space, dt):
+    """Oracle: product of per-step exponentials exp(-i h H(t_mid)) from eigendecompositions."""
+    build = hamiltonian_builder(tier, pulse, space)
+    n = max(1, math.ceil(pulse.T / dt - 1e-9))
+    h = pulse.T / n
+    unitary = np.eye(4 * space.dim, dtype=complex)
+    for k in range(n):
+        w, v = np.linalg.eigh(build((k + 0.5) * h))
+        unitary = (v * np.exp(-1j * w * h)) @ v.conj().T @ unitary
+    return unitary
+
+
+TIERS = st.sampled_from([HamiltonianTier.RWA_EFFECTIVE, HamiltonianTier.ROTATING_FRAME])
+
+
+class TestEngineMatchesEighOracle:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        TIERS,
+        st.floats(0.02, 0.4),
+        st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.05),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.0, 4.0),
+        st.floats(0.5, 4.0),
+        st.integers(8, 60),
+        st.integers(2, 6),
+    )
+    def test_circular(self, tier, g0, nu, phase0, r0, T, n_steps, dim):
+        pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=T, r0=r0)
+        space = FockSpace(dim)
+        prop = propagate_numeric(tier, pulse, space, 0.0, T, T / n_steps)
+        assert np.abs(prop.unitary - eigh_product(tier, pulse, space, T / n_steps)).max() < 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        TIERS,
+        st.lists(
+            st.tuples(st.floats(0.1, 1.5), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(0.0, 4.0),
+        st.integers(8, 60),
+        st.integers(2, 6),
+    )
+    def test_piecewise(self, tier, segments, r0, n_steps, dim):
+        shape = PiecewiseConstant(segments=tuple((d, complex(re, im)) for d, re, im in segments))
+        pulse = PulseSpec(g_shape=shape, T=shape.natural_duration(), r0=r0)
+        space = FockSpace(dim)
+        prop = propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / n_steps)
+        assert np.abs(prop.unitary - eigh_product(tier, pulse, space, pulse.T / n_steps)).max() < 1e-10
+
+
+class TestGuards:
+    @pytest.mark.filterwarnings("error")
+    def test_nan_drive_samples_stop_before_the_first_step(self, standard_pulse, monkeypatch):
+        monkeypatch.setattr(Circular, "g", lambda self, t: np.full(np.shape(t), np.nan + 0j))
+        with pytest.raises(SimulationGuard, match="double precision"):
+            propagate_numeric(HamiltonianTier.ROTATING_FRAME, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_drive_is_refused_up_front(self):
+        pulse = PulseSpec(g_shape=Circular(g0=1e200, nu=0.2), T=2 * math.pi / 0.2)
+        with pytest.raises(SimulationGuard, match="double precision"):
+            propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(4), 0.0, pulse.T, 0.1)
+
+    def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
+        def nan_steps(operators, weights, h, blocks):
+            return np.full(np.shape(blocks), np.nan + 0j), 1
+
+        monkeypatch.setattr(evolve, "_step_blocks", nan_steps)
+        with pytest.raises(NonUnitaryResultError, match="drifted"):
+            propagate_states(
+                HamiltonianTier.ROTATING_FRAME, standard_pulse, FockSpace(4), np.eye(16, 1), 0.0, 1.0, 0.1
+            )
+
+    def test_nan_propagator_trips_the_unitarity_guard(self, standard_pulse, monkeypatch):
+        nan_states = StatePropagation(np.full((16, 16), np.nan + 0j), 10, 1, 0.0)
+        monkeypatch.setattr(evolve, "propagate_states", lambda *args: nan_states)
+        with pytest.raises(NonUnitaryResultError, match="unitarity defect"):
+            propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
+
+    def test_nan_states_trip_the_vacuum_return_guard(self, standard_pulse, monkeypatch):
+        nan_states = StatePropagation(np.full((1, 32, 4), np.nan + 0j), 10, 1, 0.0)
+        monkeypatch.setattr(gate, "propagate_states", lambda *args: nan_states)
+        with pytest.raises(NonUnitaryResultError, match="vacuum"):
+            gate_matrix(standard_pulse, FockSpace(8), method="numeric_rwa")
 
 
 class TestDisplacementEngine:
@@ -214,7 +338,7 @@ class TestEngineAgreement:
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
         finals = propagate_states(
             HamiltonianTier.RWA_EFFECTIVE, pulse, space, columns, 0.0, pulse.T, pulse.T / 4000
-        )
+        ).states
         matrix = columns.conj().T @ finals
         for idx, branch in enumerate(BRANCHES):
             analytic = propagate_displacement(pulse, branch, 400_000)

@@ -86,6 +86,15 @@ class TestGateMatrix:
             np.angle(numeric.matrix[3, 3]), abs=1e-6
         )
 
+    def test_reports_carry_stepper_health(self, standard_pulse):
+        analytic = gate_matrix(standard_pulse, FockSpace(8), method="analytic", n_steps=1000)
+        assert (analytic.max_order, analytic.norm_drift) == (0, 0.0)
+        numeric = gate_matrix(standard_pulse, FockSpace(16), method="numeric_rwa", dt=standard_pulse.T / 500)
+        assert 1 <= numeric.max_order < 29
+        assert 0.0 <= numeric.norm_drift < 1e-12
+        # the middle branches never move on this tier
+        assert numeric.matrix[2, 2] == 1.0
+
     def test_open_loop_rejected(self):
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.5 * 2 * math.pi / 0.2)
         with pytest.raises(OpenLoopError):

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from loopgate import (
     Circular,
     FockSpace,
+    gate_fidelity,
+    gate_matrix,
     PiecewiseConstant,
     PulseSpec,
     StepTooCoarseError,
@@ -56,6 +59,19 @@ class TestRwaScan:
         first = rwa_error_scan(short_pulse, [2.0, 8.0], FockSpace(4), dt=0.01)
         second = rwa_error_scan(short_pulse, [2.0, 8.0], FockSpace(4), dt=0.01)
         assert first == second
+
+    def test_stacked_rows_match_one_gate_at_a_time(self, short_pulse):
+        space, dt = FockSpace(6), 0.01
+        report = rwa_error_scan(short_pulse, [2.0, 4.0, 8.0], space, dt=dt)
+        reference = gate_matrix(short_pulse, space, method="numeric_rwa", dt=dt)
+        for row in report.rows:
+            driven = replace(short_pulse, r0=row.parameter_value)
+            single = gate_matrix(driven, space, method="numeric_rotating", dt=dt)
+            infidelity = 1.0 - gate_fidelity(single.matrix, reference.matrix)
+            phase_error = abs(math.remainder(single.extracted_gamma - reference.extracted_gamma, 2 * math.pi))
+            assert row.infidelity == pytest.approx(infidelity, abs=1e-12)
+            assert row.diagonality_residual == pytest.approx(single.diagonality_residual, abs=1e-12)
+            assert row.phase_error == pytest.approx(phase_error, abs=1e-12)
 
     def test_rows_ascending(self, short_pulse):
         report = rwa_error_scan(short_pulse, [2.0, 4.0, 8.0], FockSpace(4), dt=0.01)
