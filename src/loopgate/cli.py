@@ -4,8 +4,11 @@ Subcommands: phases, gate, design, validate, sweep. Outputs are CSV (primary,
 headers always written) or JSON mirrors of the same data, formatted at 12
 significant digits so identical configs produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 physics/precondition guard,
-3 validation regression.
+Settings flags (--out, --format, --steps, --dt, --dim) override one config
+entry each and are checked by load_config like the file's own entries.
+
+Exit codes: 0 success, 1 configuration error (usage errors and unwritable
+outputs included), 2 physics/precondition guard, 3 validation regression.
 """
 
 import argparse
@@ -15,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import RunConfig, load_config, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
@@ -66,47 +69,31 @@ def _emit(path: str | None, text: str) -> None:
     path = _resolve_out(path)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _emit_rows(cfg: RunConfig, rows: list[dict], payload: dict | None = None) -> None:
+    """CSV with one column per row key, in insertion order, or the JSON payload.
 
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(_json_ready(payload), indent=2) + "\n"
-
-
-def _emit_rows(cfg: RunConfig, rows: list[dict]) -> None:
-    """CSV with one column per row key, in insertion order, or the JSON mirror."""
-    header = list(rows[0])
+    The payload defaults to {"rows": rows}.
+    """
     if cfg.out_format == "csv":
-        _emit(cfg.out_path, _csv_text(header, [[_fmt(row[key]) for key in header] for row in rows]))
+        header = list(rows[0])
+        lines = [",".join(header), *(",".join(_fmt(row[key]) for key in header) for row in rows)]
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(cfg.out_path, _json_text({"rows": rows}))
-
-
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "dim", None) is not None:
-        cfg.dim = args.dim
-    if getattr(args, "steps", None) is not None:
-        cfg.n_steps = args.steps
-    if getattr(args, "out", None) is not None:
-        cfg.out_path = args.out
-    if getattr(args, "format", None) is not None:
-        cfg.out_format = args.format
-    return cfg
+        payload = {"rows": rows} if payload is None else payload
+        text = json.dumps(_json_ready(payload), indent=2) + "\n"
+    _emit(cfg.out_path, text)
 
 
 def cmd_phases(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     solution = solve_loop(
         cfg.pulse, cfg.n_steps, closure_tol=cfg.closure_tol, require_closed=not args.allow_open
     )
@@ -132,7 +119,7 @@ def cmd_phases(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     report = gate_matrix(
         cfg.pulse,
         FockSpace(cfg.dim),
@@ -149,19 +136,12 @@ def cmd_gate(args) -> int:
         "fidelity": report.fidelity,
         "nontrivial": report.nontrivial,
     }
-    if cfg.out_format == "csv":
-        header = list(summary)
-        row = [_fmt(v) for v in summary.values()]
-        for i in range(4):
-            for j in range(4):
-                header.extend([f"m{i}{j}_re", f"m{i}{j}_im"])
-                row.extend([_fmt(report.matrix[i, j].real), _fmt(report.matrix[i, j].imag)])
-        _emit(cfg.out_path, _csv_text(header, [row]))
-    else:
-        payload = dict(summary)
-        payload["matrix_re"] = [[report.matrix[i, j].real for j in range(4)] for i in range(4)]
-        payload["matrix_im"] = [[report.matrix[i, j].imag for j in range(4)] for i in range(4)]
-        _emit(cfg.out_path, _json_text(payload))
+    row = dict(summary)
+    for i, j in itertools.product(range(4), repeat=2):
+        row[f"m{i}{j}_re"] = report.matrix[i, j].real
+        row[f"m{i}{j}_im"] = report.matrix[i, j].imag
+    matrix = {"matrix_re": report.matrix.real.tolist(), "matrix_im": report.matrix.imag.tolist()}
+    _emit_rows(cfg, [row], {**summary, **matrix})
     return EXIT_OK
 
 
@@ -200,7 +180,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     if cfg.scan is None:
         raise ConfigError("scan: section is required for the validate command")
     if cfg.scan.kind == "rwa":
@@ -211,25 +191,13 @@ def cmd_validate(args) -> int:
     else:
         report = truncation_scan(cfg.pulse, cfg.scan.dims, cfg.scan.dt)
         parameter = "dim"
-    if cfg.out_format == "csv":
-        header = [parameter, "infidelity", "diagonality_residual", "phase_error"]
-        body = [
-            [
-                _fmt(row.parameter_value),
-                _fmt(row.infidelity),
-                _fmt(row.diagonality_residual),
-                _fmt(row.phase_error),
-            ]
-            for row in report.rows
-        ]
-        _emit(cfg.out_path, _csv_text(header, body))
-    else:
-        payload = {
-            "kind": report.kind,
-            "monotone": report.monotone_flag,
-            "rows": report.as_dicts(),
-        }
-        _emit(cfg.out_path, _json_text(payload))
+    records = [asdict(row) for row in report.rows]
+    # the CSV names the parameter column after the scanned quantity
+    rows = [
+        {parameter if key == "parameter_value" else key: value for key, value in record.items()}
+        for record in records
+    ]
+    _emit_rows(cfg, rows, {"kind": report.kind, "monotone": report.monotone_flag, "rows": records})
     return EXIT_OK if report.monotone_flag else EXIT_REGRESSION
 
 
@@ -245,7 +213,7 @@ def _sweep_pulse(base, field: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     fields = list(cfg.sweep.fields)
@@ -277,33 +245,57 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# settings flags: each overrides one config entry, and a subcommand takes only those it reads
+_SETTINGS_FLAGS = {
+    "--out": ("output", "path", "output path (relative paths resolve against $LOOPGATE_OUT_DIR)"),
+    "--format": ("output", "format", "output format"),
+    "--steps": ("run", "n_steps", "scalar phase-engine step count"),
+    "--dt": ("run", "dt", "numeric propagation step"),
+    "--dim": ("space", "dim", "Fock dimension"),
+}
+
+
+class _Override(argparse.Action):
+    """Collects a settings flag as a (section, key, raw_text) override for load_config."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.overrides = [*namespace.overrides, (*self.const, values)]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is a configuration error (exit 1), not argparse's 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopgate",
         description="Phase-space-loop two-qubit phase gates: phases, gates, pulse design, validation scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run configuration file")
-        p.add_argument("--out", help="output path (relative paths resolve against $LOOPGATE_OUT_DIR)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format override")
-        p.add_argument("--dt", type=float, help="numeric propagation step override")
-        p.add_argument("--dim", type=int, help="Fock dimension override")
-        p.add_argument("--steps", type=int, help="scalar phase-engine step count override")
+    def add_command(name, func, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="run configuration file")
+        for flag in ("--out", "--format", *flags):
+            section, key, meaning = _SETTINGS_FLAGS[flag]
+            p.add_argument(
+                flag, action=_Override, const=(section, key), help=f"{meaning}; overrides {section}.{key}"
+            )
+        p.set_defaults(func=func, overrides=[])
+        return p
 
-    p_phases = sub.add_parser("phases", help="per-branch phase breakdown of one drive cycle")
-    add_common(p_phases)
+    p_phases = add_command(
+        "phases", cmd_phases, "per-branch phase breakdown of one drive cycle", "--steps"
+    )
     p_phases.add_argument(
         "--allow-open",
         action="store_true",
         help="report open-loop residuals instead of failing on non-cyclic drives",
     )
-    p_phases.set_defaults(func=cmd_phases)
-
-    p_gate = sub.add_parser("gate", help="build and grade the two-qubit gate")
-    add_common(p_gate)
-    p_gate.set_defaults(func=cmd_gate)
+    add_command("gate", cmd_gate, "build and grade the two-qubit gate", "--dt", "--dim", "--steps")
 
     p_design = sub.add_parser("design", help="solve a circular drive for a target phase")
     p_design.add_argument("target", help='target phase, e.g. "pi/2"')
@@ -313,21 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--out", help="write the pulse section here instead of stdout")
     p_design.set_defaults(func=cmd_design)
 
-    p_validate = sub.add_parser("validate", help="run a configured physics validation scan")
-    add_common(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep of pulse parameters")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    add_command("validate", cmd_validate, "run a configured physics validation scan")
+    add_command("sweep", cmd_sweep, "grid sweep of pulse parameters", "--steps")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         for message in exc.messages:

@@ -13,13 +13,15 @@ Sections:
     [scan]    kind = rwa | truncation, r0_values / dims, dt, dim
     [sweep]   max_points plus one "field = value list" entry per swept field
 
-Every violated precondition is reported with its section.key path, all at
-once, before any computation starts.
+Inline comments start with "#" only: ";" separates pulse segments, and "%" is
+literal text. Every violated precondition is reported with its section.key
+path, all at once, before any computation starts.
 """
 
 import ast
 import cmath
 import configparser
+import dataclasses
 import math
 import operator
 import re
@@ -182,20 +184,9 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
     raman = None
     if parser.has_section("raman"):
         kwargs = {}
-        for key, conv in (
-            ("omega_p", parse_real),
-            ("omega_s", parse_real),
-            ("omega_g", parse_real),
-            ("omega_c", parse_real),
-            ("omega_0", parse_real),
-            ("rabi_p", parse_complex),
-            ("rabi_s", parse_complex),
-            ("rabi_g", parse_complex),
-            ("kappa_e", parse_complex),
-            ("delta_1", parse_real),
-            ("delta_2", parse_real),
-        ):
-            kwargs[key] = reader.get("raman", key, conv, required=True)
+        for spec in dataclasses.fields(RamanParams):
+            conv = parse_complex if spec.type is complex else parse_real
+            kwargs[spec.name] = reader.get("raman", spec.name, conv, required=True)
         reader.warn_unknown("raman")
         if all(v is not None for v in kwargs.values()):
             try:
@@ -356,9 +347,14 @@ def _build_sweep(reader: _Reader) -> SweepConfig | None:
     return SweepConfig(fields=fields, max_points=max_points or 4096)
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration file; raises ConfigError with all problems."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def load_config(path: str, overrides=()) -> RunConfig:
+    """Parse and validate a run configuration file; raises ConfigError with all problems.
+
+    Each ``(section, key, raw_text)`` override replaces that entry of the file
+    before anything is read, so it meets the same parsers and checks.
+    """
+    # '%' is literal text and ';' separates pulse segments, so neither may be special
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
         with open(path) as handle:
@@ -367,6 +363,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config: {exc}") from None
+    for section, key, raw in overrides:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, raw)
 
     reader = _Reader(parser)
     pulse = _build_pulse(reader)

@@ -41,17 +41,6 @@ class ValidationReport:
     monotone_flag: bool
     kind: str
 
-    def as_dicts(self) -> list[dict]:
-        return [
-            {
-                "parameter_value": row.parameter_value,
-                "infidelity": row.infidelity,
-                "diagonality_residual": row.diagonality_residual,
-                "phase_error": row.phase_error,
-            }
-            for row in self.rows
-        ]
-
 
 def _wrapped_phase_distance(a: float, b: float) -> float:
     return abs(math.remainder(a - b, 2 * math.pi))

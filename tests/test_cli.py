@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import loopgate
 from loopgate import cli
 from loopgate.config import load_config, parse_scalar
+from loopgate.errors import ConfigError
 from loopgate.validate import ScanRow, ValidationReport
 
 CIRCULAR_CONFIG = """\
@@ -93,6 +96,89 @@ class TestScalarParsing:
         cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG.replace(f"{key} = {old}", f"{key} = {new}"))
         assert cli.main(["gate", "--config", cfg]) == 1
         assert f"config error: pulse.{key}: " in capsys.readouterr().err
+
+
+class TestConfigSyntax:
+    def test_percent_is_literal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG + "\n[output]\npath = a%b.csv\n")
+        assert cli.main(["phases", "--config", cfg]) == 0
+        assert (tmp_path / "a%b.csv").read_text().startswith("branch,")
+
+    def test_semicolon_separates_segments_and_hash_starts_a_comment(self, tmp_path):
+        text = "[pulse]\nshape = piecewise\nsegments = 1.0 0.1+0j ; 0.5 -0.2+0.1j; 1.0 -0.05j  # three sides\n"
+        pulse = load_config(write(tmp_path / "p.ini", text)).pulse
+        assert pulse.g_shape.segments == ((1.0, 0.1), (0.5, -0.2 + 0.1j), (1.0, -0.05j))
+
+    def test_missing_raman_keys_listed_in_field_order(self, tmp_path):
+        cfg = write(tmp_path / "r.ini", "[pulse]\nshape = circular\nnu = 0.2\n\n[raman]\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        missing = [m.split(":")[0] for m in info.value.messages if m.endswith("required key is missing")]
+        assert missing == [
+            f"raman.{key}"
+            for key in (
+                "omega_p", "omega_s", "omega_g", "omega_c", "omega_0",
+                "rabi_p", "rabi_s", "rabi_g", "kappa_e", "delta_1", "delta_2",
+            )
+        ]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv,old,new,message",
+        [
+            (["phases", "--steps", "1"], "n_steps = 65536", "n_steps = 1", "run.n_steps: must be >= 2"),
+            (["gate", "--dim", "1"], "[run]", "[space]\ndim = 1\n\n[run]", "space.dim: must be >= 2"),
+            (["sweep", "--format", "xml"], "[run]", "[output]\nformat = xml\n\n[run]", "output.format: must be one of"),
+            (["gate", "--dt", "abc"], "[run]", "[run]\ndt = abc", "run.dt: invalid numeric expression"),
+        ],
+        ids=["steps", "dim", "format", "dt"],
+    )
+    def test_flag_meets_the_file_check(self, tmp_path, capsys, argv, old, new, message):
+        flagged = write(tmp_path / "a.ini", CIRCULAR_CONFIG)
+        assert cli.main([*argv, "--config", flagged]) == 1
+        flag_err = capsys.readouterr().err
+        in_file = write(tmp_path / "b.ini", CIRCULAR_CONFIG.replace(old, new))
+        assert cli.main([argv[0], "--config", in_file]) == 1
+        assert flag_err == capsys.readouterr().err
+        assert flag_err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["phases"],
+            ["phases", "--config", "{cfg}", "--dt", "0.1"],
+            ["sweep", "--config", "{cfg}", "--dim", "4"],
+            ["validate", "--config", "{cfg}", "--dt", "0.2"],
+            ["gate", "--config", "{cfg}", "--allow-open"],
+        ],
+        ids=["no-command", "no-config", "phases-dt", "sweep-dim", "validate-dt", "gate-allow-open"],
+    )
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG)
+        assert cli.main([arg.format(cfg=cfg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: loopgate") and "config error: " in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["gate", "--help"])
+        assert info.value.code == 0
+        assert "overrides space.dim" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["phases", "--config", "{cfg}", "--out", "{out}"], ["design", "pi/2", "--g0", "0.1", "--out", "{out}"]],
+        ids=["phases", "design"],
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert cli.main([arg.format(cfg=cfg, out=out) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"config error: cannot write {out!r}: No such file or directory\n"
 
 
 class TestPhasesCommand:
@@ -438,20 +524,95 @@ GOLDEN_CONFIGS = {
     "[sweep]\nr0 = 0 0.5 1\n",
     "sampled": "[pulse]\nshape = sampled\ndt = 0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n\n"
     "[sweep]\nr0 = 0 0.5 1\n",
+    # validate's scans are replaced by FIXED_REPORTS, so these cases check its writer alone
+    "rwa": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = rwa\nr0_values = 1 5 25\n",
+    "truncation": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = truncation\ndims = 8 12 16\n",
+}
+
+FIXED_REPORTS = {
+    "rwa": ValidationReport(
+        rows=(
+            ScanRow(1.0, 0.005118980564551234, 0.007001633439551, 0.12700413454812),
+            ScanRow(5.0, 2.0061341056712e-4, 2.6927468345e-4, 0.0238201850141),
+            ScanRow(25.0, 8.005931575131e-6, 1.0763614522417e-5, 0.004718129350251),
+        ),
+        monotone_flag=True,
+        kind="rwa",
+    ),
+    "truncation": ValidationReport(
+        rows=(
+            ScanRow(8.0, 0.0, 3.1e-17, 0.0),
+            ScanRow(12.0, 1.2345678901234e-9, 0.0, 2.5e-10),
+            ScanRow(16.0, 3e-15, 1 / 3, 1e-16),
+        ),
+        monotone_flag=True,
+        kind="truncation",
+    ),
 }
 
 # Outputs recorded before the per-branch phase functions were folded into one
-# loop solution; the README promises byte-identical files, so these never get
+# loop solution (validate: before its CSV and JSON branches became the shared
+# row writer); the README promises byte-identical files, so these never get
 # re-recorded to absorb a numerical change.
 GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS))
-def test_outputs_byte_identical_to_recorded(tmp_path, capsys, key):
+def test_outputs_byte_identical_to_recorded(tmp_path, capsys, monkeypatch, key):
     command, drive, fmt = key.split("-")
+    monkeypatch.setattr(cli, "rwa_error_scan", lambda *a, **k: FIXED_REPORTS["rwa"])
+    monkeypatch.setattr(cli, "truncation_scan", lambda *a, **k: FIXED_REPORTS["truncation"])
     cfg = write(tmp_path / "g.ini", GOLDEN_CONFIGS[drive])
     assert cli.main([command, "--config", cfg, "--format", fmt]) == 0
     assert capsys.readouterr().out == GOLDEN_OUTPUTS[key]
+
+
+_FUZZ_KEYS = (
+    "shape", "g0", "nu", "phase0", "r0", "T", "loops", "segments", "dt", "values", "omega_p", "rabi_g",
+    "dim", "method", "n_steps", "closure_tol", "path", "format", "kind", "r0_values", "dims", "max_points", "typo",
+)
+_FUZZ_VALUES = (
+    "", "%", "a%b.csv", " ; ", "1 ; 2", "nan", "1e400", "2**3", "garbage", "1\n[broken", "0", "1", "-1", "0.1",
+    "pi/2", "1e-300", "1e300", "0.1+0.2j", "circular", "piecewise", "sampled", "0.05 0.1", "json", "analytic",
+    "1.0 0.1+0j ; 0.5 -0.2+0.1j; 1.0 -0.05j", "0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j",
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from(["circular", "piecewise", "sampled"]),
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(["pulse", "raman", "space", "run", "output", "scan", "sweep", "extra"]),
+            st.sampled_from(_FUZZ_KEYS),
+            st.sampled_from(_FUZZ_VALUES),
+        ),
+        max_size=6,
+    ),
+    command=st.sampled_from(["phases", "sweep"]),
+)
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries, command):
+    # a README drive with entries set, added or replaced; outputs land in tmp_path
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    sections: dict[str, dict[str, str]] = {}
+    for line in GOLDEN_CONFIGS[base].splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), {})
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            current[key.strip()] = value.strip()
+    for section, key, value in entries:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for name, body in sections.items()
+    )
+    cfg = write(tmp_path / "f.ini", text)
+    try:
+        load_config(cfg)
+    except ConfigError:
+        pass
+    assert cli.main([command, "--config", cfg, "--steps", "64"]) in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 def test_import_loads_no_scipy():

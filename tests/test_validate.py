@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -112,7 +112,7 @@ class TestTruncationScan:
 
 def test_report_serialization_round_trip(short_pulse):
     report = rwa_error_scan(short_pulse, [2.0, 8.0], FockSpace(4), dt=0.01)
-    dicts = report.as_dicts()
+    dicts = [asdict(row) for row in report.rows]
     assert len(dicts) == 2
     assert dicts[0]["parameter_value"] == 2.0
     assert set(dicts[0]) == {"parameter_value", "infidelity", "diagonality_residual", "phase_error"}
