@@ -3,9 +3,9 @@
 A cavity mode shared by two driven atoms is steered around a closed loop in
 phase space; every sigma_x product branch picks up a phase set only by the
 loop's geometry, which realizes a diag(e^{i gamma}, 1, 1, e^{i gamma}) gate.
-The package builds the tiered Hamiltonian models, propagates them both
-numerically and through exact displacement composition, splits the phase
-into geometric and dynamical parts, and grades the resulting gate.
+The package builds the tiered Hamiltonian models, propagates them
+numerically, solves each drive cycle's loop once for the geometric and
+dynamical phases of every branch, and grades the resulting gate.
 """
 
 from .errors import (
@@ -17,17 +17,9 @@ from .errors import (
     StepTooCoarseError,
     TrivialTargetWarning,
     TruncationGuardError,
-    TruncationWarning,
 )
-from .evolve import (
-    DisplacementPropagation,
-    NumericPropagation,
-    Trajectory,
-    alpha_trajectory,
-    propagate_displacement,
-    propagate_numeric,
-)
-from .fock import FockSpace, annihilation, coherent_state, compose_phase, creation, displacement, vacuum
+from .evolve import NumericPropagation, Trajectory, alpha_trajectory, propagate_numeric
+from .fock import FockSpace, annihilation, creation, vacuum
 from .gate import (
     GateReport,
     design_circular_pulse,
@@ -47,19 +39,9 @@ from .model import (
     Sampled,
     branch_lambda,
     effective_couplings,
-    hamiltonian_full,
-    hamiltonian_rotating,
-    hamiltonian_rwa,
-    lambda_values,
     sigma_x_basis_change,
 )
-from .phase import (
-    LoopSolution,
-    PhaseBreakdown,
-    drive_phase_integral,
-    solve_loop,
-    total_phase,
-)
+from .phase import LoopSolution, PhaseBreakdown, drive_phase_integral, solve_loop
 from .validate import ScanRow, ValidationReport, rwa_error_scan, truncation_scan
 
 __version__ = "0.1.0"

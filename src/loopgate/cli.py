@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 
-from .config import RunConfig, load_config, parse_real
+from .config import RunConfig, load_config, parse_int, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
 from .fock import FockSpace
 from .gate import design_circular_pulse, gate_matrix
@@ -165,11 +165,14 @@ def _pulse_config_text(pulse) -> str:
 
 def cmd_design(args) -> int:
     target = parse_real(args.target)
-    kwargs = {"loops": args.loops}
-    if args.g0 is not None:
-        kwargs["g0"] = args.g0
-    if args.T is not None:
-        kwargs["T"] = args.T
+    kwargs = {}
+    for name, parse in (("g0", parse_real), ("T", parse_real), ("loops", parse_int)):
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                kwargs[name] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"--{name}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TrivialTargetWarning)
         pulse = design_circular_pulse(target, **kwargs)
@@ -299,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="solve a circular drive for a target phase")
     p_design.add_argument("target", help='target phase, e.g. "pi/2"')
-    p_design.add_argument("--g0", type=float, help="fix the drive magnitude")
-    p_design.add_argument("--T", type=float, help="fix the cycle duration")
-    p_design.add_argument("--loops", type=int, default=1, help="number of phase-space loops")
+    p_design.add_argument("--g0", help="fix the drive magnitude")
+    p_design.add_argument("--T", help="fix the cycle duration")
+    p_design.add_argument("--loops", help="number of phase-space loops (default 1)")
     p_design.add_argument("--out", help="write the pulse section here instead of stdout")
     p_design.set_defaults(func=cmd_design)
 

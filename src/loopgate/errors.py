@@ -1,10 +1,6 @@
 """Warnings and guard exceptions shared across the package."""
 
 
-class TruncationWarning(UserWarning):
-    """Coherent amplitude too large for the retained Fock levels."""
-
-
 class TrivialTargetWarning(UserWarning):
     """Requested gate phase is a multiple of 2*pi, so the gate is the identity."""
 

@@ -1,13 +1,10 @@
-"""Propagation engines: numeric time-ordered products and scalar displacement composition.
+"""Numeric time-ordered propagation and the sampled phase-space trajectory.
 
 The numeric engine approximates the time-ordered evolution of any tier as a
 product of short-time exponentials with midpoint sampling (second order in
-the step for continuous drives). The analytic engine never touches matrices:
-on the strong-driving tier each sigma_x branch evolves as a product of small
-cavity displacements D(dalpha) with dalpha = -(i/2) * lambda * conj(g) * dt,
-so the whole evolution reduces to an accumulated composition phase
-Im(sum conj(alpha) dalpha) plus a residual displacement that vanishes for a
-closed loop. The analytic engine is the precision reference for phases.
+the step for continuous drives). The trajectory alpha(t) of a sigma_x branch
+is the scalar input of :mod:`loopgate.phase`, which needs no matrices.
+Both refuse a grid longer than MAX_SAMPLES before building any array.
 """
 
 import math
@@ -19,6 +16,11 @@ from .errors import NonUnitaryResultError, SimulationGuard
 from .fock import FockSpace, annihilation, creation
 from .model import HamiltonianTier, PulseSpec, branch_lambda, cumulative_drive_integral
 from .model import hamiltonian_table, sigma_x_basis_change
+
+# longest time grid, summed over stacked pulses: measured peak RSS grows by about
+# 350 bytes per step on the rotating tier and 100 bytes per trajectory sample
+# (numpy 2.4, x86-64 Linux), so a run at the limit stays under 1 GB
+MAX_SAMPLES = 2_000_000
 
 # the step product stays unitary to roundoff; anything above this signals misuse
 UNITARITY_TOL = 1e-8
@@ -44,15 +46,6 @@ class StatePropagation:
     step_count: int
     max_order: int
     norm_drift: float
-
-
-@dataclass(frozen=True)
-class DisplacementPropagation:
-    phase: float
-    residual_displacement: complex
-    step_count: int
-    branch: str
-    method: str = "displacement"
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,12 @@ def propagate_states(
     T = min(p.T for p in pulses)
     if not (0 <= t0 < t1 <= T * (1 + 1e-12) + 1e-12):
         raise ValueError(f"need 0 <= t0 < t1 <= T, got t0={t0}, t1={t1}, T={T}")
-    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    steps = (t1 - t0) / dt
+    if not (steps * len(pulses) <= MAX_SAMPLES):
+        raise SimulationGuard(
+            f"{steps * len(pulses):.4g} steps requested, above the limit of {MAX_SAMPLES}; raise dt"
+        )
+    n = max(1, math.ceil(steps - 1e-9))
     h = (t1 - t0) / n
     tables = [hamiltonian_table(tier, p, space, t0 + (np.arange(n) + 0.5) * h) for p in pulses]
     operators, weights = tables[0][0], np.stack([w for _, w in tables], axis=1)
@@ -186,33 +184,14 @@ def propagate_numeric(
     return NumericPropagation(unitary, tier.value, result.step_count, result.max_order, defect)
 
 
-def propagate_displacement(pulse: PulseSpec, branch: str, n_steps: int) -> DisplacementPropagation:
-    """Compose the branch evolution out of n_steps small displacements.
-
-    Returns the accumulated composition phase, the discrete form of
-    Im(integral of conj(alpha) dalpha), and the residual displacement
-    sum(dalpha), which tends to zero for a closed loop.
-    """
-    lam = branch_lambda(branch)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if lam == 0:
-        return DisplacementPropagation(0.0, 0j, n_steps, branch)
-    h = pulse.T / n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * h
-    dalpha = -0.5j * lam * np.conjugate(pulse.g(t_mid)) * h
-    partial = np.empty(n_steps, dtype=complex)
-    partial[0] = 0.0
-    np.cumsum(dalpha[:-1], out=partial[1:])
-    phase = float(np.sum((np.conjugate(partial) * dalpha).imag))
-    residual = complex(np.sum(dalpha))
-    return DisplacementPropagation(phase, residual, n_steps, branch)
-
-
 def alpha_trajectory(pulse: PulseSpec, branch: str, n_samples: int) -> Trajectory:
     """Cavity amplitude alpha(t) = -(i/2) * lambda * integral of conj(g) on a uniform grid."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise SimulationGuard(
+            f"{n_samples} trajectory samples requested, above the limit of {MAX_SAMPLES}; lower the step count"
+        )
     lam = branch_lambda(branch)
     times = np.linspace(0.0, pulse.T, n_samples)
     if lam == 0:

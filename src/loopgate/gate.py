@@ -19,7 +19,7 @@ from .errors import InfeasibleConstraintError, NonUnitaryResultError, OpenLoopEr
 from .evolve import alpha_trajectory, propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
-from .phase import closure_tolerance, solve_loop
+from .phase import DEFAULT_PHASE_STEPS, closure_tolerance, solve_loop
 
 GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
 
@@ -92,7 +92,7 @@ def gate_matrix(
 
     if method == "analytic":
         if n_steps is None:
-            n_steps = max(2, round(pulse.T / dt)) if dt is not None else 200_000
+            n_steps = max(2, round(pulse.T / dt)) if dt is not None else DEFAULT_PHASE_STEPS
         solution = solve_loop(pulse, n_steps, closure_tol=closure_tol)
         plus, minus = solution.breakdown("++"), solution.breakdown("--")
         matrix = np.diag(
@@ -161,15 +161,21 @@ def design_circular_pulse(
     if (g0 is None) == (T is None):
         raise InfeasibleConstraintError("exactly one of g0 or T must be fixed")
     if g0 is not None:
-        if g0 <= 0:
-            raise InfeasibleConstraintError(f"g0 must be > 0, got {g0}")
+        if not (0 < g0 < math.inf):
+            raise InfeasibleConstraintError(f"g0 must be finite and > 0, got {g0}")
+        given = f"g0 = {g0}"
         nu = g0 * math.sqrt(2 * math.pi * loops / target_gamma)
-        T = loops * 2 * math.pi / nu
+        T = loops * 2 * math.pi / nu if nu > 0 else math.inf
     else:
-        if T <= 0:
-            raise InfeasibleConstraintError(f"T must be > 0, got {T}")
+        if not (0 < T < math.inf):
+            raise InfeasibleConstraintError(f"T must be finite and > 0, got {T}")
+        given = f"T = {T}"
         nu = loops * 2 * math.pi / T
         g0 = nu * math.sqrt(target_gamma / (2 * math.pi * loops))
+    # extreme inputs can overflow or underflow the derived values
+    for name, value in (("nu", nu), ("T", T), ("g0", g0)):
+        if not (0 < value < math.inf):
+            raise InfeasibleConstraintError(f"{given} gives {name} = {value}; it must be finite and > 0")
     if not nontriviality(target_gamma):
         warnings.warn(
             f"target phase {target_gamma:.6g} is a multiple of 2*pi; the gate will be trivial",

@@ -44,11 +44,6 @@ _PLUS_MINUS = 0.5 * np.array([[1, -1], [1, -1]], dtype=complex)
 _MINUS_PLUS = _PLUS_MINUS.conj().T
 
 
-def lambda_values() -> tuple[int, int, int, int]:
-    """Eigenvalues of sigma1_x + sigma2_x in branch order (++, +-, -+, --)."""
-    return tuple(_LAMBDAS[b] for b in BRANCHES)
-
-
 def branch_lambda(branch: str) -> int:
     if branch not in _LAMBDAS:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
@@ -294,27 +289,3 @@ def hamiltonian_table(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace,
     operators, weights = np.array(operators), np.stack(weights, axis=-1)
     adjoints = operators.conj().transpose(0, 2, 1)
     return np.concatenate([operators, adjoints]), np.concatenate([weights, weights.conj()], axis=-1)
-
-
-def hamiltonian_builder(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace):
-    """Return a callable t -> H(t) for the requested tier, evaluated from :func:`hamiltonian_table`."""
-    def build(t: float) -> np.ndarray:
-        operators, weights = hamiltonian_table(tier, pulse, space, t)
-        return np.tensordot(weights[0], operators, axes=1)
-
-    return build
-
-
-def hamiltonian_full(pulse: PulseSpec, t: float, space: FockSpace) -> np.ndarray:
-    """Lab-frame effective Hamiltonian: classical flips plus cavity exchange terms."""
-    return hamiltonian_builder(HamiltonianTier.FULL_EFFECTIVE, pulse, space)(t)
-
-
-def hamiltonian_rotating(pulse: PulseSpec, t: float, space: FockSpace) -> np.ndarray:
-    """Interaction-picture Hamiltonian with the 2*r0 oscillations kept."""
-    return hamiltonian_builder(HamiltonianTier.ROTATING_FRAME, pulse, space)(t)
-
-
-def hamiltonian_rwa(pulse: PulseSpec, t: float, space: FockSpace) -> np.ndarray:
-    """Strong-classical-driving Hamiltonian (1/2)[g a + conj(g) a^dag](sigma1_x + sigma2_x)."""
-    return hamiltonian_builder(HamiltonianTier.RWA_EFFECTIVE, pulse, space)(t)

@@ -135,14 +135,3 @@ def solve_loop(
             "the drive is too strong for double-precision arithmetic"
         )
     return LoopSolution(traj, loop_sum, drive_integral, tol)
-
-
-def total_phase(
-    pulse: PulseSpec,
-    branch: str,
-    n_steps: int = DEFAULT_PHASE_STEPS,
-    closure_tol: float | None = None,
-    require_closed: bool = True,
-) -> PhaseBreakdown:
-    """Geometric plus dynamical phase for one branch of a closed-loop drive; see solve_loop."""
-    return solve_loop(pulse, n_steps, closure_tol, require_closed).breakdown(branch)

@@ -23,10 +23,8 @@ from loopgate import (
     gate_matrix,
     ideal_gate,
     nontriviality,
-    propagate_displacement,
     rwa_error_scan,
     solve_loop,
-    total_phase,
     truncation_scan,
 )
 from conftest import ACCEPTANCE_RESULTS, random_closed_piecewise
@@ -61,12 +59,13 @@ def test_c1_phase_relations():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         pulse, n_steps = random_closed_piecewise(rng)
+        solution = solve_loop(pulse, n_steps)
         for branch in ("++", "--"):
-            b = total_phase(pulse, branch, n_steps)
+            b = solution.breakdown(branch)
             assert abs(b.gamma_total + b.gamma_g) < 1e-8
             assert abs(b.gamma_total - b.gamma_d / 2) < 1e-8
         for branch in ("+-", "-+"):
-            b = total_phase(pulse, branch, n_steps)
+            b = solution.breakdown(branch)
             assert (b.gamma_g, b.gamma_d, b.gamma_total) == (0.0, 0.0, 0.0)
 
 
@@ -85,7 +84,7 @@ def test_c2_circle_law():
     assert len(cases) >= 20
     for g0, nu, loops in cases:
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu), T=loops * 2 * math.pi / abs(nu))
-        gamma = total_phase(pulse, "++", 32_768 * loops).gamma_total
+        gamma = solve_loop(pulse, 32_768 * loops).breakdown("++").gamma_total
         expected = math.copysign(loops * 2 * math.pi * g0**2 / nu**2, nu)
         assert gamma == pytest.approx(expected, rel=1e-6)
 
@@ -100,16 +99,15 @@ def test_c3_area_law():
         area = solution.area("++")
         assert gamma == pytest.approx(2 * area, rel=1e-6)
         mirrored = PulseSpec(g_shape=Circular(g0=g0, nu=-nu), T=pulse.T)
-        assert total_phase(mirrored, "++", n).gamma_total == pytest.approx(-gamma, rel=1e-6)
+        assert solve_loop(mirrored, n).breakdown("++").gamma_total == pytest.approx(-gamma, rel=1e-6)
 
 
 @criterion("4 engine agreement", 30)
 def test_c4_engine_agreement():
     space = FockSpace(32)
     report = gate_matrix(STANDARD, space, method="numeric_rwa", dt=STANDARD.T / 4000)
-    branch_order = ("++", "+-", "-+", "--")
-    for idx, branch in enumerate(branch_order):
-        reference = propagate_displacement(STANDARD, branch, 200_000).phase
+    # the exact circle law: pi/2 on ++ and --, 0 on the middle branches
+    for idx, reference in enumerate((math.pi / 2, 0.0, 0.0, math.pi / 2)):
         numeric = float(np.angle(report.matrix[idx, idx]))
         assert abs(math.remainder(numeric - reference, 2 * math.pi)) < 1e-4
     assert gate_fidelity(report.matrix, ideal_gate(math.pi / 2)) > 0.999
@@ -153,7 +151,7 @@ def test_c7_designer_round_trip():
     targets = rng.uniform(1e-3, 4 * math.pi - 1e-3, size=50)
     for target in targets:
         pulse = design_circular_pulse(float(target), g0=0.1)
-        evaluated = total_phase(pulse, "++", 65_536).gamma_total
+        evaluated = solve_loop(pulse, 65_536).breakdown("++").gamma_total
         assert abs(evaluated - target) < 1e-6
     with pytest.warns(TrivialTargetWarning):
         design_circular_pulse(2 * math.pi, g0=0.1)

@@ -13,6 +13,7 @@ import loopgate
 from loopgate import cli
 from loopgate.config import load_config, parse_scalar
 from loopgate.errors import ConfigError
+from loopgate.evolve import MAX_SAMPLES
 from loopgate.validate import ScanRow, ValidationReport
 
 CIRCULAR_CONFIG = """\
@@ -326,6 +327,23 @@ def test_overdriven_numeric_gate_is_refused_before_stepping(tmp_path, capsys, me
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["phases", "--steps", "10000000000000"], "10000000000001 trajectory samples"),
+        (["gate", "--dt", "1e-12", "--dim", "4"], "3.142e+13 steps"),
+    ],
+    ids=["phases-steps", "gate-dt"],
+)
+def test_step_counts_past_the_limit_are_refused_before_allocating(tmp_path, capsys, argv, count):
+    text = CIRCULAR_CONFIG.replace("[run]", "[run]\nmethod = numeric_rwa")
+    cfg = write(tmp_path / "s.ini", text)
+    assert cli.main([*argv, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {count} requested, above the limit of {MAX_SAMPLES}")
+    assert captured.out == ""
+
+
 class TestDesignCommand:
     def test_solution_and_round_trip(self, tmp_path, capsys):
         assert cli.main(["design", "pi/2", "--g0", "0.1"]) == 0
@@ -354,6 +372,23 @@ class TestDesignCommand:
 
     def test_unparseable_target(self, capsys):
         assert cli.main(["design", "pie", "--g0", "0.1"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,code,message",
+        [
+            ("--T", "inf", 1, "config error: --T: invalid numeric expression 'inf'"),
+            ("--T", "nan", 1, "config error: --T: invalid numeric expression 'nan'"),
+            ("--T", "1e-320", 2, "error: T = 1e-320 gives nu = inf"),
+            ("--g0", "1e-320", 2, "error: g0 = 1e-320 gives T = inf"),
+            ("--loops", "1" + "0" * 400, 1, "config error: --loops: cannot parse"),
+        ],
+        ids=["T-inf", "T-nan", "T-underflow", "g0-underflow", "loops-overflow"],
+    )
+    def test_bad_flag_is_reported_under_its_own_name(self, capsys, flag, value, code, message):
+        assert cli.main(["design", "pi/2", flag, value]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
 
 
 class TestValidateCommand:

@@ -16,8 +16,6 @@ from loopgate import (
     PulseSpec,
     Trajectory,
     alpha_trajectory,
-    hamiltonian_rwa,
-    propagate_displacement,
     propagate_numeric,
     SimulationGuard,
     gate_matrix,
@@ -27,7 +25,7 @@ from loopgate import (
 )
 from loopgate import evolve, gate
 from loopgate.evolve import StatePropagation, propagate_states
-from loopgate.model import hamiltonian_builder
+from conftest import hamiltonian, random_closed_piecewise
 
 
 def circle_phase(g0, nu, loops, lam=2):
@@ -48,7 +46,7 @@ class TestNumericPropagator:
         )
         space = FockSpace(6)
         prop = propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 0.0, 2.0, 0.05)
-        exact = expm(-2j * hamiltonian_rwa(pulse, 1.0, space))
+        exact = expm(-2j * hamiltonian(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 1.0))
         assert np.abs(prop.unitary - exact).max() < 1e-10
 
     def test_result_unitary(self, standard_pulse):
@@ -136,12 +134,11 @@ class TestNumericPropagator:
 
 def eigh_product(tier, pulse, space, dt):
     """Oracle: product of per-step exponentials exp(-i h H(t_mid)) from eigendecompositions."""
-    build = hamiltonian_builder(tier, pulse, space)
     n = max(1, math.ceil(pulse.T / dt - 1e-9))
     h = pulse.T / n
     unitary = np.eye(4 * space.dim, dtype=complex)
     for k in range(n):
-        w, v = np.linalg.eigh(build((k + 0.5) * h))
+        w, v = np.linalg.eigh(hamiltonian(tier, pulse, space, (k + 0.5) * h))
         unitary = (v * np.exp(-1j * w * h)) @ v.conj().T @ unitary
     return unitary
 
@@ -200,6 +197,14 @@ class TestGuards:
         with pytest.raises(SimulationGuard, match="double precision"):
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(4), 0.0, pulse.T, 0.1)
 
+    def test_stacked_pulses_share_the_step_budget(self, standard_pulse, monkeypatch):
+        # 50 steps per pulse fit a budget of 100, three stacked pulses do not
+        monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
+        args = (FockSpace(4), np.eye(16, 1), 0.0, standard_pulse.T, standard_pulse.T / 50)
+        propagate_states(HamiltonianTier.ROTATING_FRAME, standard_pulse, *args)
+        with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
+            propagate_states(HamiltonianTier.ROTATING_FRAME, [standard_pulse] * 3, *args)
+
     def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
         def nan_steps(operators, weights, h, blocks):
             return np.full(np.shape(blocks), np.nan + 0j), 1
@@ -224,17 +229,20 @@ class TestGuards:
 
 
 class TestDisplacementEngine:
+    """solve_loop as the scalar engine: each branch is a cavity displacement along its loop."""
+
     def test_lambda_zero_branches_exact(self, standard_pulse):
+        solution = solve_loop(standard_pulse, 1000)
         for branch in ("+-", "-+"):
-            result = propagate_displacement(standard_pulse, branch, 1000)
-            assert result.phase == 0.0
-            assert result.residual_displacement == 0j
+            assert solution.breakdown(branch).gamma_total == 0.0
+            assert solution.closure_residual(branch) == 0.0
 
     def test_circle_phase(self, standard_pulse):
-        result = propagate_displacement(standard_pulse, "++", 100_000)
-        assert result.phase == pytest.approx(circle_phase(0.1, 0.2, 1), abs=1e-6)
-        assert result.phase == pytest.approx(math.pi / 2, abs=1e-6)
-        assert abs(result.residual_displacement) < 1e-12
+        solution = solve_loop(standard_pulse, 100_000)
+        gamma = solution.breakdown("++").gamma_total
+        assert gamma == pytest.approx(circle_phase(0.1, 0.2, 1), abs=1e-6)
+        assert gamma == pytest.approx(math.pi / 2, abs=1e-6)
+        assert solution.closure_residual("++") < 1e-12
 
     @pytest.mark.parametrize("g0,nu,loops", [(0.05, 0.1, 1), (0.2, 0.5, 2), (0.15, -0.3, 1)])
     def test_circle_phase_family(self, g0, nu, loops):
@@ -242,26 +250,25 @@ class TestDisplacementEngine:
             g_shape=Circular(g0=g0, nu=nu), T=loops * 2 * math.pi / abs(nu)
         )
         expected = math.copysign(circle_phase(g0, nu, loops), nu)
-        result = propagate_displacement(pulse, "++", 100_000)
-        assert result.phase == pytest.approx(expected, rel=1e-6)
+        gamma = solve_loop(pulse, 100_000).breakdown("++").gamma_total
+        assert gamma == pytest.approx(expected, rel=1e-6)
 
     def test_direction_reversal_negates_phase_and_area(self, standard_pulse):
         reversed_pulse = PulseSpec(
             g_shape=Circular(g0=0.1, nu=-0.2, phase0=0.0), T=standard_pulse.T
         )
-        forward = propagate_displacement(standard_pulse, "++", 50_000)
-        backward = propagate_displacement(reversed_pulse, "++", 50_000)
-        assert backward.phase == pytest.approx(-forward.phase, abs=1e-9)
+        forward = solve_loop(standard_pulse, 50_000)
+        backward = solve_loop(reversed_pulse, 50_000)
+        gamma_fwd = forward.breakdown("++").gamma_total
+        assert backward.breakdown("++").gamma_total == pytest.approx(-gamma_fwd, abs=1e-9)
         # cross-check orientation against the signed shoelace area
-        area_fwd = solve_loop(standard_pulse, 50_000).area("++")
-        area_bwd = solve_loop(reversed_pulse, 50_000).area("++")
-        assert forward.phase == pytest.approx(2 * area_fwd, rel=1e-6)
-        assert area_bwd == pytest.approx(-area_fwd, rel=1e-9)
+        assert gamma_fwd == pytest.approx(2 * forward.area("++"), rel=1e-6)
+        assert backward.area("++") == pytest.approx(-forward.area("++"), rel=1e-9)
 
     def test_outer_branches_agree(self, standard_pulse):
-        plus = propagate_displacement(standard_pulse, "++", 20_000)
-        minus = propagate_displacement(standard_pulse, "--", 20_000)
-        assert minus.phase == pytest.approx(plus.phase, abs=1e-9)
+        solution = solve_loop(standard_pulse, 20_000)
+        plus, minus = solution.breakdown("++"), solution.breakdown("--")
+        assert minus.gamma_total == pytest.approx(plus.gamma_total, abs=1e-9)
 
 
 class TestTrajectory:
@@ -318,13 +325,11 @@ class TestEngineAgreement:
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
         finals = prop.unitary @ columns
         matrix = columns.conj().T @ finals
-        for idx, branch in enumerate(BRANCHES):
-            analytic = propagate_displacement(standard_pulse, branch, 200_000)
+        # exact circle law: pi/2 on the outer branches, nothing on the middle ones
+        for idx, exact in enumerate((math.pi / 2, 0.0, 0.0, math.pi / 2)):
             entry = matrix[idx, idx]
             assert abs(entry) > 1 - 1e-4
-            assert math.remainder(np.angle(entry) - analytic.phase, 2 * math.pi) == pytest.approx(
-                0.0, abs=1e-4
-            )
+            assert math.remainder(np.angle(entry) - exact, 2 * math.pi) == pytest.approx(0.0, abs=1e-4)
             # cavity reduced state returns to vacuum on every branch
             amplitudes = finals[:, idx].reshape(4, space.dim)
             vacuum_population = float(np.sum(np.abs(amplitudes[:, 0]) ** 2))
@@ -340,11 +345,39 @@ class TestEngineAgreement:
             HamiltonianTier.RWA_EFFECTIVE, pulse, space, columns, 0.0, pulse.T, pulse.T / 4000
         ).states
         matrix = columns.conj().T @ finals
+        # every corner sits on the grid, so the loop sum is the exact shoelace
+        solution = solve_loop(pulse, 4000)
         for idx, branch in enumerate(BRANCHES):
-            analytic = propagate_displacement(pulse, branch, 400_000)
             numeric_phase = float(np.angle(matrix[idx, idx]))
-            assert abs(math.remainder(numeric_phase - analytic.phase, 2 * math.pi)) < 1e-4
+            exact = solution.breakdown(branch).gamma_total
+            assert abs(math.remainder(numeric_phase - exact, 2 * math.pi)) < 1e-4
         # nonzero loop phase: the square has side 0.2 in alpha space
-        assert abs(propagate_displacement(pulse, "++", 400_000).phase) == pytest.approx(
-            2 * 0.2**2, rel=1e-3
-        )
+        assert abs(solution.breakdown("++").gamma_total) == pytest.approx(2 * 0.2**2, rel=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.floats(0.05, 0.6),
+        st.floats(0.05, 1.0),
+        st.sampled_from((1, -1)),
+        st.integers(1, 3),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_numeric_gate_matches_the_circle_law(self, radius, speed, sense, loops, phase0):
+        # g0 = radius * |nu| keeps max|alpha|^2 = 4 radius^2 well inside dim 12; the
+        # loop's rotation phase0 must not move gamma
+        nu = sense * speed
+        T = loops * 2 * math.pi / speed
+        pulse = PulseSpec(g_shape=Circular(g0=radius * speed, nu=nu, phase0=phase0), T=T)
+        report = gate_matrix(pulse, FockSpace(12), method="numeric_rwa", dt=T / (1000 * loops))
+        exact = sense * circle_phase(radius * speed, speed, loops)
+        # midpoint steps of nu*dt = 2*pi/1000 leave a relative error of 3.3e-6
+        assert abs(math.remainder(report.extracted_gamma - exact, 2 * math.pi)) < 1e-5 * abs(exact)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_numeric_gate_matches_the_polygon_loop(self, seed):
+        # each step lies inside one constant segment, so both engines are exact to roundoff
+        pulse, n_steps = random_closed_piecewise(np.random.default_rng(seed))
+        report = gate_matrix(pulse, FockSpace(32), method="numeric_rwa", dt=0.05)
+        exact = solve_loop(pulse, n_steps).breakdown("++").gamma_total
+        assert abs(math.remainder(report.extracted_gamma - exact, 2 * math.pi)) < 1e-12

@@ -2,20 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from loopgate import FockSpace, TruncationWarning, annihilation, coherent_state, compose_phase, creation, displacement
-
-SPACE32 = FockSpace(32)
-
-
-def bounded_amplitudes(max_mag=0.5):
-    """Complex amplitudes with |alpha| <= max_mag."""
-    return st.tuples(
-        st.floats(-max_mag, max_mag, allow_nan=False),
-        st.floats(-max_mag, max_mag, allow_nan=False),
-    ).map(lambda p: complex(*p)).filter(lambda z: abs(z) <= max_mag)
+from loopgate import FockSpace, annihilation, creation
 
 
 def test_fock_space_requires_two_levels():
@@ -40,92 +28,3 @@ def test_number_operator_spectrum(dim):
     number = creation(space) @ annihilation(space)
     np.testing.assert_allclose(np.diag(number).real, np.arange(dim), rtol=1e-15, atol=0)
     assert np.abs(number - np.diag(np.diag(number))).max() == 0.0
-
-
-def test_displacement_zero_is_identity():
-    np.testing.assert_allclose(displacement(0.0, SPACE32), np.eye(32), atol=1e-14)
-
-
-def test_displacement_inverse():
-    alpha = 0.3 + 0.4j
-    prod = displacement(alpha, SPACE32) @ displacement(-alpha, SPACE32)
-    assert np.abs(prod - np.eye(32)).max() < 1e-10
-
-
-def test_displacement_vacuum_column_matches_coherent_coefficients():
-    # independent oracle: closed-form coefficients e^{-|a|^2/2} a^n / sqrt(n!)
-    alpha = 0.5 * np.exp(0.7j)
-    expected = np.array(
-        [
-            math.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n))
-            for n in range(32)
-        ]
-    )
-    np.testing.assert_allclose(displacement(alpha, SPACE32)[:, 0], expected, atol=1e-10)
-
-
-@settings(max_examples=20, deadline=None)
-@given(bounded_amplitudes())
-def test_displacement_unitarity(alpha):
-    d = displacement(alpha, SPACE32)
-    assert np.abs(d.conj().T @ d - np.eye(32)).max() < 1e-8
-
-
-def test_compose_phase_values():
-    assert compose_phase(1.0, 1j) == pytest.approx(-1.0)
-    assert compose_phase(0.3 - 0.2j, 0.3 - 0.2j) == 0.0
-
-
-@settings(max_examples=50, deadline=None)
-@given(bounded_amplitudes(1.0), bounded_amplitudes(1.0))
-def test_compose_phase_antisymmetric(alpha, beta):
-    assert compose_phase(alpha, beta) == pytest.approx(-compose_phase(beta, alpha), abs=1e-15)
-
-
-@settings(max_examples=15, deadline=None)
-@given(bounded_amplitudes(), bounded_amplitudes())
-def test_composition_identity_where_truncation_is_faithful(alpha, beta):
-    # The identity D(a)D(b) = e^{i Im(a conj(b))} D(a+b) cannot survive
-    # truncation near the cutoff: levels within the displacement spread of
-    # dim couple to the discarded tail at O(1). It holds to roundoff on the
-    # block that the truncated operators represent faithfully, and on any
-    # low-lying coherent state.
-    lhs = displacement(alpha, SPACE32) @ displacement(beta, SPACE32)
-    rhs = np.exp(1j * compose_phase(alpha, beta)) * displacement(alpha + beta, SPACE32)
-    keep = 32 - 12
-    assert np.abs(lhs[:keep, :keep] - rhs[:keep, :keep]).max() < 1e-8
-    assert np.abs(lhs[:, 0] - rhs[:, 0]).max() < 1e-8
-
-
-def test_coherent_state_vacuum():
-    np.testing.assert_array_equal(coherent_state(0.0, SPACE32), np.eye(32)[:, 0])
-
-
-@settings(max_examples=20, deadline=None)
-@given(bounded_amplitudes(1.5))
-def test_coherent_state_normalized(alpha):
-    assert np.linalg.norm(coherent_state(alpha, SPACE32)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_coherent_state_is_annihilation_eigenvector():
-    alpha = 0.5 * np.exp(-1.1j)
-    vec = coherent_state(alpha, SPACE32)
-    assert np.vdot(vec, annihilation(SPACE32) @ vec) == pytest.approx(alpha, abs=1e-8)
-
-
-def test_truncation_warning_threshold():
-    space = FockSpace(16)
-    with pytest.warns(TruncationWarning):
-        coherent_state(2.1, space)  # |alpha|^2 = 4.41 > dim/4 = 4
-    with pytest.warns(TruncationWarning):
-        displacement(2.1, space)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        coherent_state(1.9, space)  # |alpha|^2 = 3.61 < 4: no warning
-
-
-def test_displacement_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        displacement(complex("inf"), SPACE32)

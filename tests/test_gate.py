@@ -18,7 +18,7 @@ from loopgate import (
     gate_matrix,
     ideal_gate,
     nontriviality,
-    total_phase,
+    solve_loop,
 )
 
 
@@ -134,13 +134,13 @@ class TestDesigner:
     def test_fixed_duration(self):
         pulse = design_circular_pulse(1.3, T=25.0)
         assert pulse.T == 25.0
-        evaluated = total_phase(pulse, "++", 65_536).gamma_total
+        evaluated = solve_loop(pulse, 65_536).breakdown("++").gamma_total
         assert evaluated == pytest.approx(1.3, abs=1e-6)
 
     def test_round_trip(self):
         for target in (0.3, math.pi / 2, 2.0, 5.5):
             pulse = design_circular_pulse(target, g0=0.17)
-            assert total_phase(pulse, "++", 65_536).gamma_total == pytest.approx(
+            assert solve_loop(pulse, 65_536).breakdown("++").gamma_total == pytest.approx(
                 target, abs=1e-6
             )
 
@@ -149,7 +149,7 @@ class TestDesigner:
             pulse = design_circular_pulse(2 * math.pi, g0=0.1)
         assert nontriviality(2 * math.pi) is False
         # the pulse itself is still valid and reproduces the target
-        assert total_phase(pulse, "++", 65_536).gamma_total == pytest.approx(
+        assert solve_loop(pulse, 65_536).breakdown("++").gamma_total == pytest.approx(
             2 * math.pi, abs=1e-6
         )
 

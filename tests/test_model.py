@@ -16,13 +16,10 @@ from loopgate import (
     RamanParams,
     Sampled,
     effective_couplings,
-    hamiltonian_full,
-    hamiltonian_rotating,
-    hamiltonian_rwa,
-    lambda_values,
     sigma_x_basis_change,
 )
 from loopgate.model import branch_lambda, cumulative_drive_integral
+from conftest import hamiltonian
 
 
 def make_raman(**overrides):
@@ -157,10 +154,7 @@ def test_cumulative_drive_integral_is_cumulative_trapezoid(pulse):
 
 
 def test_lambda_values():
-    assert lambda_values() == (2, 0, 0, -2)
-    assert branch_lambda("++") == 2
-    assert branch_lambda("+-") == 0
-    assert sum(lambda_values()) == 0
+    assert [branch_lambda(branch) for branch in BRANCHES] == [2, 0, 0, -2]
     with pytest.raises(ValueError):
         branch_lambda("xx")
 
@@ -177,21 +171,13 @@ class TestBasisChange:
 
 
 SPACE = FockSpace(6)
-
-
-def tier_matrix(tier, pulse, t, space=SPACE):
-    builders = {
-        HamiltonianTier.FULL_EFFECTIVE: hamiltonian_full,
-        HamiltonianTier.ROTATING_FRAME: hamiltonian_rotating,
-        HamiltonianTier.RWA_EFFECTIVE: hamiltonian_rwa,
-    }
-    return builders[tier](pulse, t, space)
+FULL, ROTATING, RWA = HamiltonianTier.FULL_EFFECTIVE, HamiltonianTier.ROTATING_FRAME, HamiltonianTier.RWA_EFFECTIVE
 
 
 class TestHamiltonians:
     def test_zero_drive_gives_zero(self, zero_pulse):
         for tier in HamiltonianTier:
-            h = tier_matrix(tier, zero_pulse, 0.3)
+            h = hamiltonian(tier, zero_pulse, SPACE, 0.3)
             assert np.abs(h).max() == 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -206,28 +192,28 @@ class TestHamiltonians:
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=6.0, r0=r0)
         t = t_frac * pulse.T / 3.0
         for tier in HamiltonianTier:
-            h = tier_matrix(tier, pulse, t)
+            h = hamiltonian(tier, pulse, SPACE, t)
             assert np.abs(h - h.conj().T).max() < 1e-13
 
     def test_full_spectrum_classical_only(self, zero_pulse):
         # r0 (sigma1_x + sigma2_x) has eigenvalues {-2, 0, 0, 2} * r0,
         # each doubled by the dim-2 cavity identity
         pulse = PulseSpec(g_shape=zero_pulse.g_shape, T=zero_pulse.T, r0=1.0)
-        h = hamiltonian_full(pulse, 0.1, FockSpace(2))
+        h = hamiltonian(FULL, pulse, FockSpace(2), 0.1)
         expected = np.sort(np.repeat([-2.0, 0.0, 0.0, 2.0], 2))
         np.testing.assert_allclose(np.linalg.eigvalsh(h), expected, atol=1e-12)
 
     def test_rotating_at_zero_drive_matches_full_quantum_part(self, standard_pulse):
         for t in (0.0, 0.37, 2.2):
-            rot = hamiltonian_rotating(standard_pulse, t, SPACE)
-            full = hamiltonian_full(standard_pulse, t, SPACE)  # r0 = 0: purely quantum
+            rot = hamiltonian(ROTATING, standard_pulse, SPACE, t)
+            full = hamiltonian(FULL, standard_pulse, SPACE, t)  # r0 = 0: purely quantum
             assert np.abs(rot - full).max() < 1e-15
 
     def test_rwa_commutes_with_single_atom_sigma_x(self, standard_pulse):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         eye2 = np.eye(2)
         eye_f = np.eye(SPACE.dim)
-        h = hamiltonian_rwa(standard_pulse, 0.83, SPACE)
+        h = hamiltonian(RWA, standard_pulse, SPACE, 0.83)
         for embedded in (np.kron(np.kron(sx, eye2), eye_f), np.kron(np.kron(eye2, sx), eye_f)):
             comm = h @ embedded - embedded @ h
             assert np.abs(comm).max() < 1e-13
@@ -240,8 +226,8 @@ class TestHamiltonians:
         a = np.diag(np.sqrt(np.arange(1, SPACE.dim)), 1)
         field = g * a + np.conj(g) * a.conj().T
         w = np.kron(sigma_x_basis_change(), np.eye(SPACE.dim))
-        block_diag = w.conj().T @ hamiltonian_rwa(standard_pulse, t, SPACE) @ w
-        for idx, lam in enumerate(lambda_values()):
+        block_diag = w.conj().T @ hamiltonian(RWA, standard_pulse, SPACE, t) @ w
+        for idx, lam in enumerate(branch_lambda(branch) for branch in BRANCHES):
             block = block_diag[
                 idx * SPACE.dim : (idx + 1) * SPACE.dim, idx * SPACE.dim : (idx + 1) * SPACE.dim
             ]
@@ -255,9 +241,9 @@ class TestHamiltonians:
         )
         t_half = math.pi / (2 * pulse.r0)  # e^{2 i r0 t} flips sign here
         avg = 0.5 * (
-            hamiltonian_rotating(pulse, 0.0, SPACE) + hamiltonian_rotating(pulse, t_half, SPACE)
+            hamiltonian(ROTATING, pulse, SPACE, 0.0) + hamiltonian(ROTATING, pulse, SPACE, t_half)
         )
-        assert np.abs(avg - hamiltonian_rwa(pulse, 0.0, SPACE)).max() < 1e-13
+        assert np.abs(avg - hamiltonian(RWA, pulse, SPACE, 0.0)).max() < 1e-13
 
     def test_branch_count(self):
         assert BRANCHES == ("++", "+-", "-+", "--")

@@ -15,9 +15,7 @@ from loopgate import (
     SimulationGuard,
     alpha_trajectory,
     drive_phase_integral,
-    propagate_displacement,
     solve_loop,
-    total_phase,
 )
 from loopgate.model import cumulative_drive_integral
 from conftest import random_closed_piecewise
@@ -51,10 +49,10 @@ class TestPhases:
     def test_lambda_zero_branches(self, standard_pulse):
         solution = solve_loop(standard_pulse, 1000)
         for branch in ("+-", "-+"):
-            for breakdown in (solution.breakdown(branch), total_phase(standard_pulse, branch, 1000)):
-                values = (breakdown.gamma_g, breakdown.gamma_d, breakdown.gamma_total)
-                assert values == (0.0, 0.0, 0.0)
-                assert all(math.copysign(1.0, v) == 1.0 for v in values)
+            breakdown = solution.breakdown(branch)
+            values = (breakdown.gamma_g, breakdown.gamma_d, breakdown.gamma_total)
+            assert values == (0.0, 0.0, 0.0)
+            assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_circle_geometric(self, standard_pulse):
         assert solve_loop(standard_pulse, 100_000).breakdown("++").gamma_g == pytest.approx(
@@ -87,7 +85,7 @@ class TestPhases:
         )
 
     def test_total_circle_breakdown(self, standard_pulse):
-        breakdown = total_phase(standard_pulse, "++", 100_000)
+        breakdown = solve_loop(standard_pulse, 100_000).breakdown("++")
         assert breakdown.gamma_g == pytest.approx(-math.pi / 2, abs=1e-6)
         assert breakdown.gamma_d == pytest.approx(math.pi, abs=1e-6)
         assert breakdown.gamma_total == pytest.approx(math.pi / 2, abs=1e-6)
@@ -99,32 +97,27 @@ class TestPhases:
         small = PulseSpec(g_shape=Circular(g0=0.05, nu=0.2), T=2 * math.pi / 0.2)
         large = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=2 * math.pi / 0.2)
         ratio = (
-            total_phase(large, "++", 65_536).gamma_total
-            / total_phase(small, "++", 65_536).gamma_total
+            solve_loop(large, 65_536).breakdown("++").gamma_total
+            / solve_loop(small, 65_536).breakdown("++").gamma_total
         )
         assert ratio == pytest.approx(4.0, rel=1e-6)
 
     def test_open_loop_rejected(self):
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=1.5 * 2 * math.pi / 0.2)
         with pytest.raises(OpenLoopError):
-            total_phase(pulse, "++", 10_000)
-        breakdown = total_phase(pulse, "++", 10_000, require_closed=False)
+            solve_loop(pulse, 10_000)
+        breakdown = solve_loop(pulse, 10_000, require_closed=False).breakdown("++")
         assert math.isfinite(breakdown.gamma_total)
 
     def test_proportionality_relations_random_closed_pulses(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             pulse, n_steps = random_closed_piecewise(rng)
+            solution = solve_loop(pulse, n_steps)
             for branch in ("++", "--"):
-                breakdown = total_phase(pulse, branch, n_steps)
+                breakdown = solution.breakdown(branch)
                 assert abs(breakdown.gamma_total + breakdown.gamma_g) < 1e-8
                 assert abs(breakdown.gamma_total - breakdown.gamma_d / 2) < 1e-8
-
-    def test_agrees_with_displacement_engine(self, standard_pulse):
-        n = 50_000
-        breakdown = total_phase(standard_pulse, "++", n)
-        engine = propagate_displacement(standard_pulse, "++", n)
-        assert breakdown.gamma_total == pytest.approx(engine.phase, abs=1e-6)
 
     def test_reality_leakage(self):
         rng = np.random.default_rng(3)
@@ -160,7 +153,7 @@ class TestSampledDrive:
         grid = np.linspace(0.0, T, n_samp + 1)
         values = tuple(g0 * np.exp(-1j * nu * grid))
         sampled = PulseSpec(g_shape=Sampled(dt=T / n_samp, values=values), T=T)
-        breakdown = total_phase(sampled, "++", 65_536, closure_tol=1e-4)
+        breakdown = solve_loop(sampled, 65_536, closure_tol=1e-4).breakdown("++")
         assert breakdown.gamma_total == pytest.approx(math.pi / 2, rel=1e-4)
         assert abs(breakdown.gamma_total + breakdown.gamma_g) < 1e-6
         assert abs(breakdown.gamma_total - breakdown.gamma_d / 2) < 1e-6
