@@ -18,7 +18,7 @@ from .errors import (
     TrivialTargetWarning,
     TruncationGuardError,
 )
-from .evolve import NumericPropagation, Trajectory, alpha_trajectory, propagate_numeric
+from .evolve import NumericPropagation, propagate_numeric
 from .fock import FockSpace, annihilation, creation, vacuum
 from .gate import (
     GateReport,
@@ -41,7 +41,7 @@ from .model import (
     effective_couplings,
     sigma_x_basis_change,
 )
-from .phase import LoopSolution, PhaseBreakdown, drive_phase_integral, solve_loop
+from .phase import LoopSolution, PhaseBreakdown, solve_loop
 from .validate import ScanRow, ValidationReport, rwa_error_scan, truncation_scan
 
 __version__ = "0.1.0"

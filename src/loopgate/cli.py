@@ -252,8 +252,8 @@ def cmd_sweep(args) -> int:
 _SETTINGS_FLAGS = {
     "--out": ("output", "path", "output path (relative paths resolve against $LOOPGATE_OUT_DIR)"),
     "--format": ("output", "format", "output format"),
-    "--steps": ("run", "n_steps", "scalar phase-engine step count"),
-    "--dt": ("run", "dt", "numeric propagation step"),
+    "--steps": ("run", "n_steps", "analytic phase-engine step count"),
+    "--dt": ("run", "dt", "numeric-method propagation step"),
     "--dim": ("space", "dim", "Fock dimension"),
 }
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .gate import GATE_METHODS
 from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled, effective_couplings
+from .phase import DEFAULT_PHASE_STEPS
 
 _ALLOWED_EXPR = re.compile(r"^[0-9pij+\-*/().eE\s]+$")
 _BARE_PI = re.compile(r"(?<=[0-9.)])pi")
@@ -133,7 +134,7 @@ class RunConfig:
     dim: int = 32
     method: str = "analytic"
     dt: float | None = None
-    n_steps: int = 100_000
+    n_steps: int = DEFAULT_PHASE_STEPS
     closure_tol: float | None = None
     out_path: str | None = None
     out_format: str = "csv"
@@ -289,8 +290,8 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
     ):
         kind = None
     scan = ScanConfig(kind=kind or "rwa")
-    scan.dt = reader.get("scan", "dt", parse_real, default=0.001)
-    scan.dim = reader.get("scan", "dim", parse_int, default=16)
+    scan.dt = reader.get("scan", "dt", parse_real, default=scan.dt)
+    scan.dim = reader.get("scan", "dim", parse_int, default=scan.dim)
     r0_values = reader.get("scan", "r0_values", parse_real_list)
     dims_raw = reader.get("scan", "dims", str)
     if dims_raw is not None:
@@ -325,7 +326,7 @@ def _build_sweep(reader: _Reader) -> SweepConfig | None:
     parser = reader.parser
     if not parser.has_section("sweep"):
         return None
-    max_points = reader.get("sweep", "max_points", parse_int, default=4096)
+    max_points = reader.get("sweep", "max_points", parse_int, default=SweepConfig.max_points)
     fields: dict[str, list[float]] = {}
     for key in parser.options("sweep"):
         if key == "max_points":
@@ -344,7 +345,7 @@ def _build_sweep(reader: _Reader) -> SweepConfig | None:
             continue
         fields[key] = values
     reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
-    return SweepConfig(fields=fields, max_points=max_points or 4096)
+    return SweepConfig(fields=fields, max_points=max_points)
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
@@ -371,22 +372,22 @@ def load_config(path: str, overrides=()) -> RunConfig:
     reader = _Reader(parser)
     pulse = _build_pulse(reader)
 
-    dim = reader.get("space", "dim", parse_int, default=32)
+    dim = reader.get("space", "dim", parse_int, default=RunConfig.dim)
     reader.check(dim is None or dim >= 2, "space.dim", "must be >= 2")
     reader.warn_unknown("space")
 
-    method = reader.get("run", "method", str.strip, default="analytic")
+    method = reader.get("run", "method", str.strip, default=RunConfig.method)
     reader.check(method in GATE_METHODS, "run.method", f"must be one of {GATE_METHODS}")
     dt = reader.get("run", "dt", parse_real)
     reader.check(dt is None or dt > 0, "run.dt", "must be > 0")
-    n_steps = reader.get("run", "n_steps", parse_int, default=100_000)
+    n_steps = reader.get("run", "n_steps", parse_int, default=RunConfig.n_steps)
     reader.check(n_steps is None or n_steps >= 2, "run.n_steps", "must be >= 2")
     closure_tol = reader.get("run", "closure_tol", parse_real)
     reader.check(closure_tol is None or closure_tol > 0, "run.closure_tol", "must be > 0")
     reader.warn_unknown("run")
 
     out_path = reader.get("output", "path", str.strip)
-    out_format = reader.get("output", "format", str.strip, default="csv")
+    out_format = reader.get("output", "format", str.strip, default=RunConfig.out_format)
     reader.check(
         out_format in FORMAT_CHOICES, "output.format", f"must be one of {FORMAT_CHOICES}"
     )

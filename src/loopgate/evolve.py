@@ -1,10 +1,11 @@
-"""Numeric time-ordered propagation and the sampled phase-space trajectory.
+"""Numeric time-ordered propagation: the matrix engine.
 
 The numeric engine approximates the time-ordered evolution of any tier as a
 product of short-time exponentials with midpoint sampling (second order in
-the step for continuous drives). The trajectory alpha(t) of a sigma_x branch
-is the scalar input of :mod:`loopgate.phase`, which needs no matrices.
-Both refuse a grid longer than MAX_SAMPLES before building any array.
+the step for continuous drives), for a block of state columns
+(:func:`propagate_states`) or the full propagator (:func:`propagate_numeric`).
+It refuses more than MAX_SAMPLES steps before building any array; the scalar
+loop engine in :mod:`loopgate.phase` needs no matrices and shares that budget.
 """
 
 import math
@@ -14,11 +15,10 @@ import numpy as np
 
 from .errors import NonUnitaryResultError, SimulationGuard
 from .fock import FockSpace, annihilation, creation
-from .model import HamiltonianTier, PulseSpec, branch_lambda, cumulative_drive_integral
-from .model import hamiltonian_table, sigma_x_basis_change
+from .model import HamiltonianTier, PulseSpec, hamiltonian_table, sigma_x_basis_change
 
 # longest time grid, summed over stacked pulses: measured peak RSS grows by about
-# 350 bytes per step on the rotating tier and 100 bytes per trajectory sample
+# 350 bytes per step on the rotating tier and 100 bytes per phase.solve_loop sample
 # (numpy 2.4, x86-64 Linux), so a run at the limit stays under 1 GB
 MAX_SAMPLES = 2_000_000
 
@@ -46,31 +46,6 @@ class StatePropagation:
     step_count: int
     max_order: int
     norm_drift: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled phase-space path of the cavity amplitude for one branch."""
-
-    times: np.ndarray
-    alphas: np.ndarray
-    branch: str
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        alphas = np.asarray(self.alphas, dtype=complex)
-        if times.ndim != 1 or times.shape != alphas.shape:
-            raise ValueError("times and alphas must be 1-D arrays of equal length")
-        if len(times) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if times[0] != 0.0:
-            raise ValueError("trajectories start at t = 0")
-        if alphas[0] != 0:
-            raise ValueError("trajectories start at alpha = 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "alphas", alphas)
 
 
 def _step_blocks(operators, weights, h, blocks):
@@ -182,20 +157,4 @@ def propagate_numeric(
             "reduce dt or enlarge the Fock space"
         )
     return NumericPropagation(unitary, tier.value, result.step_count, result.max_order, defect)
-
-
-def alpha_trajectory(pulse: PulseSpec, branch: str, n_samples: int) -> Trajectory:
-    """Cavity amplitude alpha(t) = -(i/2) * lambda * integral of conj(g) on a uniform grid."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if n_samples > MAX_SAMPLES:
-        raise SimulationGuard(
-            f"{n_samples} trajectory samples requested, above the limit of {MAX_SAMPLES}; lower the step count"
-        )
-    lam = branch_lambda(branch)
-    times = np.linspace(0.0, pulse.T, n_samples)
-    if lam == 0:
-        return Trajectory(times, np.zeros(n_samples, dtype=complex), branch)
-    alphas = -0.5j * lam * np.conjugate(cumulative_drive_integral(pulse, times))
-    return Trajectory(times, alphas, branch)
 

@@ -9,6 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationGuard
+
+# largest Fock dimension: the numeric tiers build dense (4 dim)^2 operators, and
+# measured peak RSS of a numeric_rotating gate grows by about 3.2 kB per dim^2
+# (numpy 2.4, x86-64 Linux), so one numeric gate at the limit stays under 1 GB
+MAX_DIM = 512
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -19,6 +26,8 @@ class FockSpace:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise ValueError(f"FockSpace.dim must be an integer >= 2, got {self.dim!r}")
+        if self.dim > MAX_DIM:
+            raise SimulationGuard(f"Fock dimension dim = {self.dim} is above the limit of {MAX_DIM}; lower dim")
 
 
 def annihilation(space: FockSpace) -> np.ndarray:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraintError, NonUnitaryResultError, OpenLoopError, TrivialTargetWarning
-from .evolve import alpha_trajectory, propagate_states
+from .evolve import propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
-from .phase import DEFAULT_PHASE_STEPS, closure_tolerance, solve_loop
+from .phase import DEFAULT_PHASE_STEPS, closure_tolerance, sample_loop, solve_loop
 
 GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
 
@@ -67,32 +67,31 @@ def gate_matrix(
     space: FockSpace,
     method: str = "analytic",
     dt: float | None = None,
-    n_steps: int | None = None,
+    n_steps: int = DEFAULT_PHASE_STEPS,
     closure_tol: float | None = None,
 ) -> GateReport:
     """Build the cycle's gate either from accumulated branch phases or numerically.
 
     The analytic method assembles diag(e^{i gamma_++}, 1, 1, e^{i gamma_--})
-    from the scalar phase engine (n_steps controls its resolution; a given
-    dt maps to round(T/dt) steps). The numeric methods propagate the full
-    composite system on the requested tier from every |branch> (x) |vacuum>
-    state, project the final cavity state back on vacuum, and report the
-    measured 4x4 branch matrix, gauged so the middle entries equal 1.
+    from the scalar phase engine with n_steps intervals. The numeric methods
+    propagate the full composite system on the requested tier with step dt
+    (T/4000 when None) from every |branch> (x) |vacuum> state, project the
+    final cavity state back on vacuum, and report the measured 4x4 branch
+    matrix, gauged so the middle entries equal 1. dt applies only to the
+    numeric methods and n_steps only to the analytic one.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")
 
-    traj = alpha_trajectory(pulse, "++", 20001)
-    closure_residual = float(abs(traj.alphas[-1]))
-    if not (closure_residual <= closure_tolerance(traj.alphas, closure_tol)):
+    _, _, alphas = sample_loop(pulse, 20001)
+    closure_residual = float(abs(alphas[-1]))
+    if not (closure_residual <= closure_tolerance(alphas, closure_tol)):
         raise OpenLoopError(
             f"drive loop does not close: |alpha(T)| = {closure_residual:.6e}; "
             "gate phases are only defined for cyclic evolutions"
         )
 
     if method == "analytic":
-        if n_steps is None:
-            n_steps = max(2, round(pulse.T / dt)) if dt is not None else DEFAULT_PHASE_STEPS
         solution = solve_loop(pulse, n_steps, closure_tol=closure_tol)
         plus, minus = solution.breakdown("++"), solution.breakdown("--")
         matrix = np.diag(

@@ -1,4 +1,4 @@
-"""Phase bookkeeping along the cavity's phase-space loop.
+"""The scalar loop engine: phase bookkeeping along the cavity's phase-space loop.
 
 For each sigma_x branch the coherent trajectory alpha(t) picks up
 
@@ -8,8 +8,11 @@ For each sigma_x branch the coherent trajectory alpha(t) picks up
   expectation, which reduces to (i/4) lambda^2 integral of G(t) dt with
   G(t) = g(t) * integral(conj(g)) - conj(g(t)) * integral(g).
 
-For a closed loop the total phase obeys gamma = -gamma_g = gamma_d / 2, so
-the dynamical part carries the same loop-area dependence as the geometric
+Branch lambda follows alpha = -(i/2) lambda conj(I) with I(t) the running
+integral of the drive, so :func:`sample_loop` samples I once and
+:func:`solve_loop` derives every branch's phases, closure residual and area
+from it. For a closed loop the total phase obeys gamma = -gamma_g = gamma_d / 2,
+so the dynamical part carries the same loop-area dependence as the geometric
 part and no cancellation step is needed. Phases are reported unwrapped so
 multi-loop drives show additivity; reduction mod 2*pi happens only in the
 gate-level nontriviality test.
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OpenLoopError, SimulationGuard
-from .evolve import Trajectory, alpha_trajectory
+from .evolve import MAX_SAMPLES
 from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
 
-DEFAULT_PHASE_STEPS = 200_000
+DEFAULT_PHASE_STEPS = 100_000
 
 _CLOSURE_REL_TOL = 1e-6
 
@@ -35,6 +38,22 @@ def closure_tolerance(alphas: np.ndarray, closure_tol: float | None = None) -> f
     if closure_tol is not None:
         return closure_tol
     return _CLOSURE_REL_TOL * max(1.0, float(np.abs(alphas).max()))
+
+
+def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform grid over the cycle, the running integral I of g on it, and the ++ loop.
+
+    The ++ loop is alpha = -i conj(I); both start at 0.
+    """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise SimulationGuard(
+            f"{n_samples} trajectory samples requested, above the limit of {MAX_SAMPLES}; lower the step count"
+        )
+    times = np.linspace(0.0, pulse.T, n_samples)
+    run = cumulative_drive_integral(pulse, times)
+    return times, run, -0.5j * branch_lambda("++") * np.conjugate(run)
 
 
 @dataclass(frozen=True)
@@ -47,22 +66,6 @@ class PhaseBreakdown:
     branch: str
 
 
-def drive_phase_integral(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS) -> complex:
-    """Integral of G(t) over the cycle; exact segment sums for piecewise drives."""
-    shape = pulse.g_shape
-    if isinstance(shape, PiecewiseConstant):
-        durations = np.array([d for d, _ in shape.segments])
-        values = np.array([g for _, g in shape.segments])
-        prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
-        g_vals = values * prefix.conjugate() - values.conjugate() * prefix
-        return complex(np.sum(g_vals * durations))
-    grid = np.linspace(0.0, pulse.T, n_steps + 1)
-    run = cumulative_drive_integral(pulse, grid)
-    g_vals = np.asarray(pulse.g(grid))
-    integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-    return complex(np.sum(np.diff(grid) * (integrand[1:] + integrand[:-1]) / 2.0))
-
-
 @dataclass(frozen=True)
 class LoopSolution:
     """One drive cycle solved on the ++ branch, with every other branch derived from it.
@@ -72,7 +75,7 @@ class LoopSolution:
     branch repeats the ++ numbers and the lambda = 0 branches report +0.0.
     """
 
-    trajectory: Trajectory
+    alpha_T: complex
     loop_sum: float
     drive_integral: complex
     closure_tol: float
@@ -88,24 +91,24 @@ class LoopSolution:
 
     def closure_residual(self, branch: str) -> float:
         """|alpha(T)| of one branch; zero marks a cyclic evolution."""
-        return abs(branch_lambda(branch) / 2) * float(abs(self.trajectory.alphas[-1]))
+        return abs(branch_lambda(branch) / 2) * float(abs(self.alpha_T))
 
     def area(self, branch: str) -> float:
         """Shoelace signed area of the branch loop, positive for counterclockwise paths.
 
-        Raises OpenLoopError when the loop does not close within the tolerance.
+        The loop starts at alpha = 0, so the closing edge adds nothing to the
+        loop sum. Raises OpenLoopError when the loop does not close within the
+        tolerance.
         """
         lam = branch_lambda(branch)
         if lam == 0:
             return 0.0
-        alphas = self.trajectory.alphas
         residual = self.closure_residual(branch)
         if not (residual <= self.closure_tol):
             raise OpenLoopError(
                 f"trajectory for branch {branch} is not closed: |alpha(T) - alpha(0)| = {residual:.6e}"
             )
-        closing = float((np.conjugate(alphas[-1]) * alphas[0]).imag)
-        return (lam * lam / 4) * 0.5 * (self.loop_sum + closing)
+        return (lam * lam / 4) * 0.5 * self.loop_sum
 
 
 def solve_loop(
@@ -116,22 +119,35 @@ def solve_loop(
 ) -> LoopSolution:
     """Sample the ++ loop on n_steps intervals and integrate G once, for every branch.
 
-    Raises OpenLoopError when the loop fails to close and require_closed is
-    set; the closed-loop proportionality relations are meaningless for open
-    paths. Raises SimulationGuard when the loop sum or the G integral is not
-    finite: the drive is too strong for double precision.
+    One running integral I(t) of the drive gives the loop alpha = -i conj(I),
+    its closure residual and loop sum, and the trapezoid integral of
+    G = g conj(I) - conj(g) I; piecewise drives integrate G by exact segment
+    sums instead. Raises OpenLoopError when the loop fails to close and
+    require_closed is set; the closed-loop proportionality relations are
+    meaningless for open paths. Raises SimulationGuard when the loop sum or
+    the G integral is not finite: the drive is too strong for double precision.
     """
-    traj = alpha_trajectory(pulse, "++", n_steps + 1)
-    tol = closure_tolerance(traj.alphas, closure_tol)
-    residual = float(abs(traj.alphas[-1]))
+    times, run, alphas = sample_loop(pulse, n_steps + 1)
+    tol = closure_tolerance(alphas, closure_tol)
+    residual = float(abs(alphas[-1]))
     if require_closed and not (residual <= tol):
         raise OpenLoopError(f"trajectory for branch ++ does not close: |alpha(T)| = {residual:.6e}")
     # discrete Im(integral of conj(alpha) dalpha) along the sampled path
-    loop_sum = float(np.sum((np.conjugate(traj.alphas[:-1]) * traj.alphas[1:]).imag))
-    drive_integral = drive_phase_integral(pulse, n_steps)
+    loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+    shape = pulse.g_shape
+    if isinstance(shape, PiecewiseConstant):
+        durations = np.array([d for d, _ in shape.segments])
+        values = np.array([g for _, g in shape.segments])
+        prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
+        g_vals = values * prefix.conjugate() - values.conjugate() * prefix
+        drive_integral = complex(np.sum(g_vals * durations))
+    else:
+        g_vals = np.asarray(pulse.g(times))
+        integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
+        drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
         raise SimulationGuard(
             "phase sums over the drive cycle are not finite; "
             "the drive is too strong for double-precision arithmetic"
         )
-    return LoopSolution(traj, loop_sum, drive_integral, tol)
+    return LoopSolution(alphas[-1], loop_sum, drive_integral, tol)

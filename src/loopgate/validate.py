@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StepTooCoarseError, TruncationGuardError
-from .evolve import alpha_trajectory
 from .fock import FockSpace
 from .gate import GateReport, _numeric_gates, gate_fidelity, gate_matrix
 from .model import PulseSpec
+from .phase import sample_loop
 
 # keep >= ~60 samples per fast 2*r0 oscillation
 _STEP_RESOLUTION_LIMIT = 0.1
@@ -98,15 +98,15 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
         raise ValueError("dims must be nonempty")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
-    excursion = float(np.abs(alpha_trajectory(pulse, "++", 4001).alphas).max())
+    _, _, alphas = sample_loop(pulse, 4001)
+    excursion = float(np.abs(alphas).max())
     floor = 4.0 * excursion**2
     if any(d < floor for d in dims):
         raise TruncationGuardError(
             f"every dim must be >= 4 * max|alpha|^2 = {floor:.3g}; got {dims}"
         )
-    reports: list[GateReport] = [
-        gate_matrix(pulse, FockSpace(d), method="numeric_rwa", dt=dt) for d in dims
-    ]
+    spaces = [FockSpace(d) for d in dims]
+    reports: list[GateReport] = [gate_matrix(pulse, space, method="numeric_rwa", dt=dt) for space in spaces]
     rows = []
     for i, (d, rep) in enumerate(zip(dims, reports)):
         if i == 0:

@@ -14,6 +14,7 @@ from loopgate import cli
 from loopgate.config import load_config, parse_scalar
 from loopgate.errors import ConfigError
 from loopgate.evolve import MAX_SAMPLES
+from loopgate.fock import MAX_DIM
 from loopgate.validate import ScanRow, ValidationReport
 
 CIRCULAR_CONFIG = """\
@@ -341,6 +342,20 @@ def test_step_counts_past_the_limit_are_refused_before_allocating(tmp_path, caps
     assert cli.main([*argv, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {count} requested, above the limit of {MAX_SAMPLES}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,scan",
+    [(["gate", "--dim", "1000000"], ""), (["validate"], "\n[scan]\nkind = truncation\ndims = 8 1000000\n")],
+    ids=["gate", "validate-truncation"],
+)
+def test_fock_dimensions_past_the_limit_are_refused_before_allocating(tmp_path, capsys, argv, scan):
+    text = CIRCULAR_CONFIG.replace("[run]", "[run]\nmethod = numeric_rwa") + scan
+    cfg = write(tmp_path / "d.ini", text)
+    assert cli.main([*argv, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: Fock dimension dim = 1000000 is above the limit of {MAX_DIM}")
     assert captured.out == ""
 
 

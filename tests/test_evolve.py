@@ -14,8 +14,6 @@ from loopgate import (
     NonUnitaryResultError,
     PiecewiseConstant,
     PulseSpec,
-    Trajectory,
-    alpha_trajectory,
     propagate_numeric,
     SimulationGuard,
     gate_matrix,
@@ -25,6 +23,7 @@ from loopgate import (
 )
 from loopgate import evolve, gate
 from loopgate.evolve import StatePropagation, propagate_states
+from loopgate.phase import sample_loop
 from conftest import hamiltonian, random_closed_piecewise
 
 
@@ -272,28 +271,18 @@ class TestDisplacementEngine:
 
 
 class TestTrajectory:
-    def test_lambda_zero_is_flat(self, standard_pulse):
-        traj = alpha_trajectory(standard_pulse, "-+", 101)
-        assert np.abs(traj.alphas).max() == 0.0
-
     def test_circle_against_closed_form(self, standard_pulse):
         # integrating conj(g) for the circular drive: alpha(t) = -(g0/nu)(e^{i nu t} - 1);
         # trapezoid bias is (nu*h)^2/12 relative, so this grid sits below 1e-9
-        traj = alpha_trajectory(standard_pulse, "++", 65537)
-        expected = -(0.1 / 0.2) * (np.exp(1j * 0.2 * traj.times) - 1.0)
-        np.testing.assert_allclose(traj.alphas, expected, atol=1e-8)
+        times, _, alphas = sample_loop(standard_pulse, 65537)
+        expected = -(0.1 / 0.2) * (np.exp(1j * 0.2 * times) - 1.0)
+        np.testing.assert_allclose(alphas, expected, atol=1e-8)
 
     def test_starts_at_zero_and_spans_cycle(self, standard_pulse):
-        traj = alpha_trajectory(standard_pulse, "--", 33)
-        assert traj.alphas[0] == 0
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == standard_pulse.T
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), alphas=np.array([1.0 + 0j, 0.0]), branch="++")
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.5, 1.0]), alphas=np.array([0.0j, 0.0]), branch="++")
+        times, run, alphas = sample_loop(standard_pulse, 33)
+        assert run[0] == 0 and alphas[0] == 0
+        assert times[0] == 0.0
+        assert times[-1] == standard_pulse.T
 
 
 class TestLoopClosure:

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from loopgate import FockSpace, annihilation, creation
+from loopgate import FockSpace, SimulationGuard, annihilation, creation
+from loopgate.fock import MAX_DIM
 
 
 def test_fock_space_requires_two_levels():
     with pytest.raises(ValueError):
         FockSpace(1)
+
+
+def test_fock_space_is_bounded():
+    assert FockSpace(MAX_DIM).dim == MAX_DIM
+    with pytest.raises(SimulationGuard, match=f"dim = {MAX_DIM + 1} is above the limit of {MAX_DIM}"):
+        FockSpace(MAX_DIM + 1)
 
 
 def test_annihilation_dim2():

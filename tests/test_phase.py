@@ -13,12 +13,15 @@ from loopgate import (
     PulseSpec,
     Sampled,
     SimulationGuard,
-    alpha_trajectory,
-    drive_phase_integral,
+    branch_lambda,
     solve_loop,
 )
 from loopgate.model import cumulative_drive_integral
 from conftest import random_closed_piecewise
+
+
+def drive_integral(pulse, n_steps=100_000):
+    return solve_loop(pulse, n_steps, require_closed=False).drive_integral
 
 
 class TestBigG:
@@ -32,16 +35,16 @@ class TestBigG:
             T = loops * 2 * math.pi / nu
             pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu), T=T)
             expected = -2j * g0**2 * T / nu
-            assert drive_phase_integral(pulse, 200_000 * loops) == pytest.approx(expected, abs=1e-8)
+            assert drive_integral(pulse, 200_000 * loops) == pytest.approx(expected, abs=1e-8)
 
     def test_real_constant_drive_vanishes(self):
         for segments in (((3.0, 0.25),), ((1.0, 0.25), (2.0, -0.125))):
             pulse = PulseSpec(g_shape=PiecewiseConstant(segments=segments), T=3.0)
-            assert drive_phase_integral(pulse) == 0j
+            assert drive_integral(pulse) == 0j
 
     def test_purely_imaginary(self):
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=13.0)
-        value = drive_phase_integral(pulse, 20000)
+        value = drive_integral(pulse, 20000)
         assert abs(value.real) < 1e-10
 
 
@@ -74,7 +77,8 @@ class TestPhases:
             plus.gamma_d,
             plus.gamma_total,
         )
-        alphas = alpha_trajectory(standard_pulse, "--", 50_001).alphas
+        grid = np.linspace(0.0, standard_pulse.T, 50_001)
+        alphas = -0.5j * branch_lambda("--") * np.conjugate(cumulative_drive_integral(standard_pulse, grid))
         assert minus.gamma_g == -float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
 
     def test_two_loops_double_the_phase(self):
@@ -123,7 +127,7 @@ class TestPhases:
         rng = np.random.default_rng(3)
         for _ in range(5):
             pulse, n_steps = random_closed_piecewise(rng)
-            value = drive_phase_integral(pulse, n_steps)
+            value = drive_integral(pulse, n_steps)
             assert abs(value.real) < 1e-10 * max(1.0, abs(value))
 
 
@@ -140,7 +144,7 @@ def test_drive_phase_integral_is_trapezoid(shape):
     run = cumulative_drive_integral(pulse, grid)
     g_vals = np.asarray(pulse.g(grid))
     integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-    assert drive_phase_integral(pulse, 4096) == complex(trapezoid(integrand, grid))
+    assert drive_integral(pulse, 4096) == complex(trapezoid(integrand, grid))
 
 
 class TestSampledDrive:
@@ -269,3 +273,102 @@ class TestEnclosedArea:
         solution = solve_loop(standard_pulse, 65_536)
         gamma = solution.breakdown("++").gamma_total
         assert gamma == pytest.approx(2 * solution.area("++"), rel=1e-6)
+
+
+def two_pass_reference(pulse, n_steps):
+    """Loop sum, G integral, closure residual and ++ area by the two-pass formulas.
+
+    One pass samples the ++ trajectory, a second integrates G, and the area
+    adds the shoelace closing term Im(conj(alpha_T) alpha_0).
+    """
+    grid = np.linspace(0.0, pulse.T, n_steps + 1)
+    alphas = -0.5j * 2 * np.conjugate(cumulative_drive_integral(pulse, grid))
+    loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+    shape = pulse.g_shape
+    if isinstance(shape, PiecewiseConstant):
+        durations = np.array([d for d, _ in shape.segments])
+        values = np.array([g for _, g in shape.segments])
+        prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
+        g_vals = values * prefix.conjugate() - values.conjugate() * prefix
+        integral = complex(np.sum(g_vals * durations))
+    else:
+        run = cumulative_drive_integral(pulse, grid)
+        g_vals = np.asarray(pulse.g(grid))
+        integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
+        integral = complex(np.sum(np.diff(grid) * (integrand[1:] + integrand[:-1]) / 2.0))
+    residual = float(abs(alphas[-1]))
+    closing = float((np.conjugate(alphas[-1]) * alphas[0]).imag)
+    return loop_sum, integral, residual, (2 * 2 / 4) * 0.5 * (loop_sum + closing)
+
+
+def bits(value):
+    """The IEEE bytes of a float or complex value: equal bits, equal signs of zero."""
+    return np.complex128(value).tobytes() if isinstance(value, complex) else np.float64(value).tobytes()
+
+
+# components that exercise signed zeros: exact zeros of either sign and both signs of a value
+_COMPONENTS = st.sampled_from((0.0, -0.0, 0.25, -0.25, 0.1, -0.3))
+_SIGNED = st.builds(complex, _COMPONENTS, _COMPONENTS)
+
+
+@st.composite
+def any_drives(draw):
+    """Closed or open circular, sampled and piecewise drives, including zero-area ones, with a step count."""
+    kind = draw(st.sampled_from(("circular", "sampled", "piecewise", "closed_piecewise", "line")))
+    n_steps = draw(st.integers(1, 600))
+    if kind == "circular":
+        shape = Circular(
+            g0=draw(st.floats(0.01, 0.5)),
+            nu=draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((1, -1))),
+            phase0=draw(st.sampled_from((0.0, -0.0, math.pi / 2, draw(st.floats(-math.pi, math.pi))))),
+        )
+        loops = draw(st.sampled_from((1.0, 2.0, 0.5, draw(st.floats(0.1, 3.0)))))
+        return PulseSpec(g_shape=shape, T=loops * 2 * math.pi / abs(shape.nu)), n_steps
+    if kind == "sampled":
+        values = draw(st.lists(st.one_of(_SIGNED, st.complex_numbers(max_magnitude=1.0)), min_size=2, max_size=8))
+        shape = Sampled(dt=draw(st.sampled_from((0.5, 0.1, 1.0))), values=tuple(values))
+        return PulseSpec(g_shape=shape, T=shape.natural_duration()), n_steps
+    if kind == "closed_piecewise":
+        return random_closed_piecewise(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    segments = draw(st.lists(st.tuples(st.sampled_from((0.5, 1.0, 0.25)), _SIGNED), min_size=1, max_size=4))
+    if kind == "line":
+        # each segment retraced backwards: a closed loop of zero area
+        segments += [(d, -g) for d, g in reversed(segments)]
+    shape = PiecewiseConstant(segments=tuple(segments))
+    return PulseSpec(g_shape=shape, T=shape.natural_duration()), n_steps
+
+
+_ZERO_AREA = [
+    PiecewiseConstant(segments=((2.0, 0.0),)),
+    PiecewiseConstant(segments=((1.0, 0.25), (1.0, -0.25))),
+    PiecewiseConstant(segments=((1.0, -0.25j), (1.0, 0.25j))),
+    PiecewiseConstant(segments=((1.0, -0.25), (0.5, 0.5))),
+    Sampled(dt=0.5, values=(0.0, 0.2, 0.0, -0.2, 0.0)),
+    Sampled(dt=0.5, values=(-0.0, -0.2j, -0.0, 0.2j, -0.0)),
+]
+
+
+class TestOnePassMatchesTwoPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(any_drives())
+    def test_bit_for_bit(self, drive):
+        pulse, n_steps = drive
+        self.check(pulse, n_steps)
+
+    @pytest.mark.parametrize("shape", _ZERO_AREA)
+    def test_zero_area_drives(self, shape):
+        self.check(PulseSpec(g_shape=shape, T=shape.natural_duration()), 40)
+
+    @staticmethod
+    def check(pulse, n_steps):
+        loop_sum, integral, residual, area = two_pass_reference(pulse, n_steps)
+        solution = solve_loop(pulse, n_steps, require_closed=False)
+        assert bits(solution.loop_sum) == bits(loop_sum)
+        assert bits(solution.drive_integral) == bits(integral)
+        assert bits(solution.closure_residual("++")) == bits(residual)
+        if residual <= solution.closure_tol:
+            assert bits(solution.area("++")) == bits(area)
+            assert bits(solve_loop(pulse, n_steps).loop_sum) == bits(loop_sum)
+        else:
+            with pytest.raises(OpenLoopError):
+                solution.area("++")
