@@ -4,6 +4,10 @@ The numeric engine approximates the time-ordered evolution of any tier as a
 product of short-time exponentials with midpoint sampling (second order in
 the step for continuous drives), for a block of state columns
 (:func:`propagate_states`) or the full propagator (:func:`propagate_numeric`).
+It steps only the rows that move: on the RWA tier the two dim-row cavity
+blocks of the |++> and |--> branches, on the rotating and full tiers the
+3 dim exchange-symmetric (triplet) rows; the singlet rows, and on the RWA
+tier both middle branches, come back unchanged.
 It refuses more than MAX_SAMPLES steps before building any array; the scalar
 loop engine in :mod:`loopgate.phase` needs no matrices and shares that budget.
 """
@@ -15,7 +19,14 @@ import numpy as np
 
 from .errors import NonUnitaryResultError, SimulationGuard
 from .fock import FockSpace, annihilation, creation
-from .model import HamiltonianTier, PulseSpec, hamiltonian_table, sigma_x_basis_change
+from .model import (
+    HamiltonianTier,
+    PulseSpec,
+    hamiltonian_operators,
+    hamiltonian_weights,
+    sigma_x_basis_change,
+    triplet_rows,
+)
 
 # longest time grid, summed over stacked pulses: measured peak RSS grows by about
 # 350 bytes per step on the rotating tier and 100 bytes per phase.solve_loop sample
@@ -114,12 +125,12 @@ def propagate_states(
         )
     n = max(1, math.ceil(steps - 1e-9))
     h = (t1 - t0) / n
-    tables = [hamiltonian_table(tier, p, space, t0 + (np.arange(n) + 0.5) * h) for p in pulses]
-    operators, weights = tables[0][0], np.stack([w for _, w in tables], axis=1)
+    times = t0 + (np.arange(n) + 0.5) * h
+    weights = np.stack([hamiltonian_weights(tier, p, times) for p in pulses], axis=1)
     columns = np.asarray(states, dtype=complex).reshape(len(states), -1)
-    stack = np.broadcast_to(columns, (len(pulses), *columns.shape))
     if tier is HamiltonianTier.RWA_EFFECTIVE:
         # (sigma1_x + sigma2_x) (x) a is diag(2, 0, 0, -2) (x) a in the branch basis
+        stack = np.broadcast_to(columns, (len(pulses), *columns.shape))
         rows = sigma_x_basis_change() @ stack.reshape(len(pulses), 4, -1)
         lam_weights = weights[:, :, None, :] * np.array([[2.0], [-2.0]])
         outer, top = _step_blocks(
@@ -131,7 +142,18 @@ def propagate_states(
         rows[:, [0, 3]] = outer.reshape(len(pulses), 2, -1)
         final = (sigma_x_basis_change() @ rows).reshape(stack.shape)
     else:
-        final, top = _step_blocks(operators, weights, h, stack)
+        # the singlet rows never move: step the triplet coordinates x = W^dag columns
+        # alone and add W (x_final - x_initial), so unmoved components return bit for bit
+        triplet = triplet_rows()
+        start = (triplet.conj().T @ columns.reshape(4, -1)).reshape(3 * space.dim, -1)
+        moved, top = _step_blocks(
+            hamiltonian_operators(tier, space, triplet=True),
+            weights,
+            h,
+            np.broadcast_to(start, (len(pulses), *start.shape)),
+        )
+        shift = triplet @ (moved - start).reshape(len(pulses), 3, -1)
+        final = columns + shift.reshape(len(pulses), *columns.shape)
     drift = float(np.max(np.abs(np.linalg.norm(final, axis=1) - np.linalg.norm(columns, axis=0))))
     if not (drift <= UNITARITY_TOL):
         raise NonUnitaryResultError(f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space")

@@ -264,28 +264,79 @@ def sigma_x_basis_change() -> np.ndarray:
     return np.kron(hadamard, hadamard) / 2
 
 
-def hamiltonian_table(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace, times):
-    """Fixed operators and per-time weights of a tier: H(t_k) = sum_j weights[k, j] * operators[j].
+# the exchange-symmetric (triplet) states |++>, (|+-> + |-+>)/sqrt(2), |-->,
+# written in the sigma_x product basis
+_TRIPLET = np.array([[1, 0, 0], [0, math.sqrt(0.5), 0], [0, math.sqrt(0.5), 0], [0, 0, 1]])
 
-    The drive is sampled once for all times. Each operator is followed by its
-    adjoint, weighted by the conjugate weight, so every H(t_k) is Hermitian.
+
+def triplet_rows() -> np.ndarray:
+    """Orthonormal bare-basis columns of the three exchange-symmetric two-qubit states.
+
+    Every tier treats the two atoms alike, so it keeps their span and never
+    moves the singlet (|+-> - |-+>)/sqrt(2).
+    """
+    return sigma_x_basis_change() @ _TRIPLET
+
+
+def _tier_terms(tier: HamiltonianTier):
+    """Each term of a tier, listed once: (two-qubit factor, Fock factor, weight).
+
+    A weight is a function of the halved drive samples g(t)/2, the fast phase
+    e^{2 i r0 t} and r0. H(t) is the sum of weight * kron(qubit factor, Fock
+    factor) over the terms plus the adjoint of every term.
+    """
+    if tier is HamiltonianTier.RWA_EFFECTIVE:
+        return ((_two_atom(_SIGMA_X), "a", lambda half, fast, r0: half),)
+    if tier is HamiltonianTier.ROTATING_FRAME:
+        return (
+            (_two_atom(_SIGMA_X), "a", lambda half, fast, r0: half),
+            (_two_atom(_PLUS_MINUS), "a", lambda half, fast, r0: half * fast),
+            (_two_atom(_MINUS_PLUS), "a", lambda half, fast, r0: -half * fast.conj()),
+        )
+    if tier is HamiltonianTier.FULL_EFFECTIVE:
+        return (
+            (_two_atom(_SIGMA_PLUS), "a", lambda half, fast, r0: 2 * half),
+            # the classical flips r0 (sigma1_x + sigma2_x) split into two equal halves
+            (_two_atom(_SIGMA_X), "1", lambda half, fast, r0: np.full(half.shape, 0.5 * r0)),
+        )
+    raise ValueError(f"unknown tier {tier!r}")
+
+
+def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.ndarray:
+    """Weights of the tier's operators at each time, shape (len(times), 2 * terms).
+
+    The drive is sampled once for all times; the adjoint operators, which
+    follow the terms, carry the conjugate weights, so every H(t) is Hermitian.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    a = annihilation(space)
     half = 0.5 * np.asarray(pulse.g(times), dtype=complex)
-    x_a = np.kron(_two_atom(_SIGMA_X), a)
-    if tier is HamiltonianTier.RWA_EFFECTIVE:
-        operators, weights = [x_a], [half]
-    elif tier is HamiltonianTier.ROTATING_FRAME:
-        p = np.exp(2j * pulse.r0 * times)
-        operators = [x_a, np.kron(_two_atom(_PLUS_MINUS), a), np.kron(_two_atom(_MINUS_PLUS), a)]
-        weights = [half, half * p, -half * p.conj()]
-    elif tier is HamiltonianTier.FULL_EFFECTIVE:
-        # the classical flips r0 (sigma1_x + sigma2_x) split into two equal halves
-        operators = [np.kron(_two_atom(_SIGMA_PLUS), a), np.kron(_two_atom(_SIGMA_X), np.eye(space.dim))]
-        weights = [2 * half, np.full(times.shape, 0.5 * pulse.r0)]
-    else:
-        raise ValueError(f"unknown tier {tier!r}")
-    operators, weights = np.array(operators), np.stack(weights, axis=-1)
-    adjoints = operators.conj().transpose(0, 2, 1)
-    return np.concatenate([operators, adjoints]), np.concatenate([weights, weights.conj()], axis=-1)
+    fast = np.exp(2j * pulse.r0 * times)
+    weights = np.stack([weight(half, fast, pulse.r0) for *_, weight in _tier_terms(tier)], axis=-1)
+    return np.concatenate([weights, weights.conj()], axis=-1)
+
+
+def hamiltonian_operators(tier: HamiltonianTier, space: FockSpace, triplet: bool = False) -> np.ndarray:
+    """The tier's fixed operators kron(qubit factor, Fock factor), each term followed by its adjoint.
+
+    H(t_k) = sum_j hamiltonian_weights(...)[k, j] * operators[j]. With
+    ``triplet`` every qubit factor is restricted to the columns of
+    :func:`triplet_rows`, so the operators are (3 dim)^2 instead of (4 dim)^2.
+    """
+    terms = _tier_terms(tier)
+    fock = {"a": annihilation(space), "1": np.eye(space.dim)}
+    rows = 3 if triplet else 4
+    operators = np.empty((2 * len(terms), rows * space.dim, rows * space.dim), dtype=complex)
+    for j, (qubit, factor, _) in enumerate(terms):
+        if triplet:
+            # through the sigma_x basis, where the factors have entries 0, +-1/2, +-1 and +-2,
+            # so every zero of the restricted factor comes out exact
+            branch = sigma_x_basis_change() @ qubit @ sigma_x_basis_change()
+            qubit = _TRIPLET.T @ branch @ _TRIPLET
+        # the Kronecker product written in place: no second (rows dim)^2 array is made
+        np.multiply(
+            qubit[:, None, :, None],
+            fock[factor][None, :, None, :],
+            out=operators[j].reshape(rows, space.dim, rows, space.dim),
+        )
+        np.conjugate(operators[j].T, out=operators[len(terms) + j])
+    return operators

@@ -100,7 +100,8 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
         raise ValueError("dims must be strictly ascending")
     _, _, alphas = sample_loop(pulse, 4001)
     excursion = float(np.abs(alphas).max())
-    floor = 4.0 * excursion**2
+    # a float power raises OverflowError where a product gives inf
+    floor = 4.0 * excursion * excursion
     if any(d < floor for d in dims):
         raise TruncationGuardError(
             f"every dim must be >= 4 * max|alpha|^2 = {floor:.3g}; got {dims}"

@@ -359,6 +359,17 @@ def test_fock_dimensions_past_the_limit_are_refused_before_allocating(tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
+    # the loop excursion 2 g0 / nu is finite, its square is not
+    text = CIRCULAR_CONFIG.replace("g0 = 0.1", "g0 = 1e200") + "\n[scan]\nkind = truncation\ndims = 8 16\n"
+    cfg = write(tmp_path / "t.ini", text)
+    assert cli.main(["validate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: every dim must be >= 4 * max|alpha|^2 = inf")
+    assert captured.out == ""
+
+
 class TestDesignCommand:
     def test_solution_and_round_trip(self, tmp_path, capsys):
         assert cli.main(["design", "pi/2", "--g0", "0.1"]) == 0

@@ -23,6 +23,7 @@ from loopgate import (
 )
 from loopgate import evolve, gate
 from loopgate.evolve import StatePropagation, propagate_states
+from loopgate.model import hamiltonian_operators, hamiltonian_weights
 from loopgate.phase import sample_loop
 from conftest import hamiltonian, random_closed_piecewise
 
@@ -181,6 +182,106 @@ class TestEngineMatchesEighOracle:
         space = FockSpace(dim)
         prop = propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / n_steps)
         assert np.abs(prop.unitary - eigh_product(tier, pulse, space, pulse.T / n_steps)).max() < 1e-10
+
+
+SYMMETRIC_TIERS = st.sampled_from([HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE])
+
+
+def dense_states(tier, pulse, space, states, t1, dt):
+    """Reference: every bare-basis row stepped through the dense (4 dim)^2 table."""
+    n = max(1, math.ceil(t1 / dt - 1e-9))
+    h = t1 / n
+    weights = hamiltonian_weights(tier, pulse, (np.arange(n) + 0.5) * h)
+    final, _ = evolve._step_blocks(hamiltonian_operators(tier, space), weights[:, None], h, states[None])
+    return final[0]
+
+
+def random_columns(rng, rows, count):
+    return rng.normal(size=(rows, count)) + 1j * rng.normal(size=(rows, count))
+
+
+class TestExchangeSymmetry:
+    """The rotating and full tiers step only the triplet rows; the singlet never moves."""
+
+    @pytest.mark.parametrize("tier", [HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE])
+    def test_singlet_comes_back_bit_for_bit(self, tier, standard_pulse):
+        space = FockSpace(6)
+        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.5)
+        singlet = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2)
+        columns = np.kron(singlet[:, None], random_columns(np.random.default_rng(5), space.dim, 3))
+        result = propagate_states(tier, pulse, space, columns, 0.0, 3.0, 0.05)
+        assert np.array_equal(result.states, columns)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        SYMMETRIC_TIERS,
+        st.floats(0.02, 0.4),
+        st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.05),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.0, 4.0),
+        st.integers(4, 40),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_circular_matches_dense_stepping(self, tier, g0, nu, phase0, r0, n_steps, dim, seed):
+        pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=2.0, r0=r0)
+        space = FockSpace(dim)
+        columns = random_columns(np.random.default_rng(seed), 4 * dim, 3)
+        final = propagate_states(tier, pulse, space, columns, 0.0, 2.0, 2.0 / n_steps).states
+        assert np.abs(final - dense_states(tier, pulse, space, columns, 2.0, 2.0 / n_steps)).max() < 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        SYMMETRIC_TIERS,
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 4.0),
+        st.integers(2, 6),
+    )
+    def test_piecewise_matches_dense_stepping(self, tier, seed, r0, dim):
+        rng = np.random.default_rng(seed)
+        pulse, _ = random_closed_piecewise(rng)
+        pulse = PulseSpec(pulse.g_shape, T=pulse.T, r0=r0)
+        space = FockSpace(dim)
+        columns = random_columns(rng, 4 * dim, 2)
+        # one step per segment quantum keeps every corner on the grid
+        final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, 0.05).states
+        assert np.abs(final - dense_states(tier, pulse, space, columns, pulse.T, 0.05)).max() < 1e-12
+
+
+class TestFrameChange:
+    @settings(max_examples=3, deadline=None)
+    @given(
+        st.floats(0.05, 0.3),
+        st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 0.1),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(1.0, 3.0),
+        st.floats(0.3, 1.2),
+    )
+    def test_full_tier_is_the_rotating_tier_in_the_lab_frame(self, g0, nu, phase0, r0, r0_t):
+        # U_rot(t) = exp(i r0 S_x t) U_full(t) with S_x = sigma1_x + sigma2_x, which is
+        # diag(2, 0, 0, -2) in the branch basis; the midpoint product reaches it at second order
+        t = r0_t / r0
+        pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=t, r0=r0)
+        space = FockSpace(5)
+        columns = random_columns(np.random.default_rng(3), 4 * space.dim, 4)
+        b = sigma_x_basis_change()
+
+        def frame(sign):
+            phases = np.exp(sign * 1j * r0 * t * np.array([2, 0, 0, -2]))
+            return np.kron(b @ np.diag(phases) @ b, np.eye(space.dim))
+
+        def misses(n_steps):
+            full, rot = (
+                propagate_states(tier, pulse, space, columns, 0.0, t, t / n_steps).states
+                for tier in (HamiltonianTier.FULL_EFFECTIVE, HamiltonianTier.ROTATING_FRAME)
+            )
+            return np.abs(frame(1) @ full - rot).max(), np.abs(frame(-1) @ full - rot).max()
+
+        coarse, _ = misses(150)
+        fine, wrong_sign = misses(300)
+        assert fine < 1e-4
+        assert coarse / fine > 3.0
+        assert wrong_sign > 0.1
 
 
 class TestGuards:
