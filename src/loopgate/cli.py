@@ -147,8 +147,6 @@ def cmd_gate(args) -> int:
 
 def _pulse_config_text(pulse) -> str:
     shape = pulse.g_shape
-    if not isinstance(shape, Circular):
-        raise ValueError("only circular pulses are printed in config syntax")
     loops = max(1, round(pulse.T * abs(shape.nu) / (2 * math.pi)))
     lines = [
         "[pulse]",

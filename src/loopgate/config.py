@@ -93,8 +93,9 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
-def parse_real_list(text: str) -> list[float]:
-    return [parse_real(tok) for tok in text.split()]
+def list_of(parse):
+    """Converter for a whitespace-separated list whose entries ``parse`` reads."""
+    return lambda text: [parse(tok) for tok in text.split()]
 
 
 def parse_segments(text: str) -> list[tuple[float, complex]]:
@@ -143,12 +144,16 @@ class RunConfig:
 
 
 class _Reader:
-    """Pulls typed values out of one parsed INI file, collecting path-tagged errors."""
+    """Pulls typed values out of one parsed INI file, collecting path-tagged errors.
+
+    A value that fails to convert is reported once: later checks on its path are skipped.
+    """
 
     def __init__(self, parser: configparser.ConfigParser):
         self.parser = parser
         self.errors: list[str] = []
         self.seen: set[tuple[str, str]] = set()
+        self.invalid: set[str] = set()
 
     def get(self, section, key, convert, default=None, required=False):
         self.seen.add((section, key))
@@ -161,10 +166,11 @@ class _Reader:
             return convert(raw)
         except ValueError as exc:
             self.errors.append(f"{section}.{key}: {exc}")
+            self.invalid.add(f"{section}.{key}")
             return default
 
     def check(self, condition, path, message):
-        if not condition:
+        if not condition and path not in self.invalid:
             self.errors.append(f"{path}: {message}")
         return condition
 
@@ -244,7 +250,8 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
             if reader.check(nu != 0, "pulse.nu", "must be nonzero") and reader.check(
                 loops >= 1, "pulse.loops", "must be >= 1"
             ):
-                T = loops * 2 * math.pi / abs(nu)
+                # a float product overflows to inf, which PulseSpec refuses; an int one raises
+                T = float(loops) * 2 * math.pi / abs(nu)
         try:
             shape = Circular(g0=g0, nu=nu, phase0=phase0)
         except ValueError as exc:
@@ -260,10 +267,11 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
                 T = shape.natural_duration()
     else:
         sample_dt = reader.get("pulse", "dt", parse_real, required=True)
-        values_text = reader.get("pulse", "values", str, required=True)
-        if sample_dt is not None and values_text is not None:
+        if sample_dt is not None and not reader.check(sample_dt > 0, "pulse.dt", "must be > 0"):
+            sample_dt = None
+        values = reader.get("pulse", "values", list_of(parse_complex), required=True)
+        if sample_dt is not None and values is not None:
             try:
-                values = [parse_complex(tok) for tok in values_text.split()]
                 shape = Sampled(dt=sample_dt, values=tuple(values))
             except ValueError as exc:
                 reader.errors.append(f"pulse.values: {exc}")
@@ -292,15 +300,8 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
     scan = ScanConfig(kind=kind or "rwa")
     scan.dt = reader.get("scan", "dt", parse_real, default=scan.dt)
     scan.dim = reader.get("scan", "dim", parse_int, default=scan.dim)
-    r0_values = reader.get("scan", "r0_values", parse_real_list)
-    dims_raw = reader.get("scan", "dims", str)
-    if dims_raw is not None:
-        try:
-            scan.dims = [parse_int(tok) for tok in dims_raw.split()]
-        except ValueError as exc:
-            reader.errors.append(f"scan.dims: {exc}")
-    if r0_values is not None:
-        scan.r0_values = r0_values
+    scan.r0_values = reader.get("scan", "r0_values", list_of(parse_real), default=scan.r0_values)
+    scan.dims = reader.get("scan", "dims", list_of(parse_int), default=scan.dims)
     if kind == "rwa":
         reader.check(bool(scan.r0_values), "scan.r0_values", "required for an rwa scan")
         reader.check(
@@ -322,6 +323,10 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
     return scan
 
 
+def _not_sweepable(text):
+    raise ValueError(f"not a sweepable pulse field {_SWEEPABLE}")
+
+
 def _build_sweep(reader: _Reader) -> SweepConfig | None:
     parser = reader.parser
     if not parser.has_section("sweep"):
@@ -329,21 +334,10 @@ def _build_sweep(reader: _Reader) -> SweepConfig | None:
     max_points = reader.get("sweep", "max_points", parse_int, default=SweepConfig.max_points)
     fields: dict[str, list[float]] = {}
     for key in parser.options("sweep"):
-        if key == "max_points":
-            continue
-        reader.seen.add(("sweep", key))
-        if key not in _SWEEPABLE:
-            reader.errors.append(f"sweep.{key}: not a sweepable pulse field {_SWEEPABLE}")
-            continue
-        try:
-            values = parse_real_list(parser.get("sweep", key))
-        except ValueError as exc:
-            reader.errors.append(f"sweep.{key}: {exc}")
-            continue
-        if not values:
-            reader.errors.append(f"sweep.{key}: needs at least one value")
-            continue
-        fields[key] = values
+        if key != "max_points":
+            values = reader.get("sweep", key, list_of(parse_real) if key in _SWEEPABLE else _not_sweepable)
+            if reader.check(values, f"sweep.{key}", "needs at least one value"):
+                fields[key] = values
     reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
     return SweepConfig(fields=fields, max_points=max_points)
 

@@ -59,15 +59,16 @@ class StatePropagation:
     norm_drift: float
 
 
-def _step_blocks(operators, weights, h, blocks):
+def _step_blocks(operators, norms, weights, h, blocks):
     """Apply exp(-i h sum_j weights[k, b, j] operators[j]) for k = 0, 1, ... to blocks (B, m, N).
 
-    Each step acts through a truncated Taylor series; returns the blocks and
-    the largest series order used.
+    ``norms`` holds the operators' 2-norms, which bound every step generator's
+    norm before the first step. Each step acts through a truncated Taylor
+    series; returns the blocks and the largest series order used.
     """
     coeffs = (-1j * h) * weights
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.max(np.abs(coeffs) @ np.linalg.norm(operators, ord=2, axis=(1, 2))))
+        bound = float(np.max(np.abs(coeffs) @ norms))
     if not math.isfinite(bound * bound):  # the convergence test below squares term norms
         raise SimulationGuard(f"drive too strong for double precision: step generator norm {bound:.3g}")
     if not (bound <= _STEP_NORM_LIMIT):
@@ -135,6 +136,7 @@ def propagate_states(
         lam_weights = weights[:, :, None, :] * np.array([[2.0], [-2.0]])
         outer, top = _step_blocks(
             np.array([annihilation(space), creation(space)]),
+            np.full(2, math.sqrt(space.dim - 1)),  # ||a|| = ||a^dag||
             lam_weights.reshape(n, -1, weights.shape[-1]),
             h,
             rows[:, [0, 3]].reshape(-1, space.dim, columns.shape[1]),
@@ -147,7 +149,7 @@ def propagate_states(
         triplet = triplet_rows()
         start = (triplet.conj().T @ columns.reshape(4, -1)).reshape(3 * space.dim, -1)
         moved, top = _step_blocks(
-            hamiltonian_operators(tier, space, triplet=True),
+            *hamiltonian_operators(tier, space, triplet=True),
             weights,
             h,
             np.broadcast_to(start, (len(pulses), *start.shape)),

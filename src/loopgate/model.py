@@ -148,6 +148,8 @@ class PiecewiseConstant:
             raise ValueError("PiecewiseConstant needs at least one segment")
         if not all(d > 0 and math.isfinite(d) and cmath.isfinite(g) for d, g in segs):
             raise ValueError("segment durations must be finite and positive, and values finite")
+        if not math.isfinite(sum(d for d, _ in segs)):
+            raise ValueError("segment durations must add up to a finite total")
         object.__setattr__(self, "segments", segs)
         bounds = np.concatenate(([0.0], np.cumsum([d for d, _ in segs])))
         object.__setattr__(self, "_bounds", bounds)
@@ -190,6 +192,8 @@ class Sampled:
             raise ValueError("Sampled needs at least two samples")
         if not all(cmath.isfinite(v) for v in vals):
             raise ValueError("Sampled values must be finite")
+        if not math.isfinite(self.dt * (len(vals) - 1)):
+            raise ValueError(f"Sampled covers a duration of {len(vals) - 1} x {self.dt}, which is not finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_grid", self.dt * np.arange(len(vals)))
         object.__setattr__(self, "_array", np.array(vals))
@@ -310,33 +314,43 @@ def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.nd
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     half = 0.5 * np.asarray(pulse.g(times), dtype=complex)
-    fast = np.exp(2j * pulse.r0 * times)
+    # a fast phase past double precision comes out nan, which the step-norm guard refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = np.exp(2j * pulse.r0 * times)
     weights = np.stack([weight(half, fast, pulse.r0) for *_, weight in _tier_terms(tier)], axis=-1)
     return np.concatenate([weights, weights.conj()], axis=-1)
 
 
-def hamiltonian_operators(tier: HamiltonianTier, space: FockSpace, triplet: bool = False) -> np.ndarray:
-    """The tier's fixed operators kron(qubit factor, Fock factor), each term followed by its adjoint.
+def hamiltonian_operators(
+    tier: HamiltonianTier, space: FockSpace, triplet: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tier's fixed operators kron(qubit factor, Fock factor) and their 2-norms; each term precedes its adjoint.
 
     H(t_k) = sum_j hamiltonian_weights(...)[k, j] * operators[j]. With
     ``triplet`` every qubit factor is restricted to the columns of
     :func:`triplet_rows`, so the operators are (3 dim)^2 instead of (4 dim)^2.
+    The 2-norm of a Kronecker product is the product of its factors' 2-norms,
+    and ||a|| = sqrt(dim - 1), so no norm of a full operator is computed.
     """
     terms = _tier_terms(tier)
-    fock = {"a": annihilation(space), "1": np.eye(space.dim)}
+    fock = {"a": (annihilation(space), math.sqrt(space.dim - 1)), "1": (np.eye(space.dim), 1.0)}
     rows = 3 if triplet else 4
     operators = np.empty((2 * len(terms), rows * space.dim, rows * space.dim), dtype=complex)
+    norms = np.empty(2 * len(terms))
     for j, (qubit, factor, _) in enumerate(terms):
         if triplet:
             # through the sigma_x basis, where the factors have entries 0, +-1/2, +-1 and +-2,
             # so every zero of the restricted factor comes out exact
             branch = sigma_x_basis_change() @ qubit @ sigma_x_basis_change()
             qubit = _TRIPLET.T @ branch @ _TRIPLET
+        matrix, norm = fock[factor]
         # the Kronecker product written in place: no second (rows dim)^2 array is made
         np.multiply(
             qubit[:, None, :, None],
-            fock[factor][None, :, None, :],
+            matrix[None, :, None, :],
             out=operators[j].reshape(rows, space.dim, rows, space.dim),
         )
         np.conjugate(operators[j].T, out=operators[len(terms) + j])
-    return operators
+        # the largest singular value of the small qubit factor, from its Gram matrix
+        norms[j] = norms[len(terms) + j] = norm * math.sqrt(np.linalg.eigvalsh(qubit.conj().T @ qubit)[-1])
+    return operators, norms

@@ -52,8 +52,12 @@ def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarra
             f"{n_samples} trajectory samples requested, above the limit of {MAX_SAMPLES}; lower the step count"
         )
     times = np.linspace(0.0, pulse.T, n_samples)
-    run = cumulative_drive_integral(pulse, times)
-    return times, run, -0.5j * branch_lambda("++") * np.conjugate(run)
+    # a drive too strong for double precision overflows to inf or nan here; the
+    # closure and finiteness guards downstream turn that into a SimulationGuard
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = cumulative_drive_integral(pulse, times)
+        alphas = -0.5j * branch_lambda("++") * np.conjugate(run)
+    return times, run, alphas
 
 
 @dataclass(frozen=True)
@@ -132,19 +136,21 @@ def solve_loop(
     residual = float(abs(alphas[-1]))
     if require_closed and not (residual <= tol):
         raise OpenLoopError(f"trajectory for branch ++ does not close: |alpha(T)| = {residual:.6e}")
-    # discrete Im(integral of conj(alpha) dalpha) along the sampled path
-    loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
-    shape = pulse.g_shape
-    if isinstance(shape, PiecewiseConstant):
-        durations = np.array([d for d, _ in shape.segments])
-        values = np.array([g for _, g in shape.segments])
-        prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
-        g_vals = values * prefix.conjugate() - values.conjugate() * prefix
-        drive_integral = complex(np.sum(g_vals * durations))
-    else:
-        g_vals = np.asarray(pulse.g(times))
-        integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-        drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
+    # sums that overflow are caught by the finiteness guard below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # discrete Im(integral of conj(alpha) dalpha) along the sampled path
+        loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+        shape = pulse.g_shape
+        if isinstance(shape, PiecewiseConstant):
+            durations = np.array([d for d, _ in shape.segments])
+            values = np.array([g for _, g in shape.segments])
+            prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
+            g_vals = values * prefix.conjugate() - values.conjugate() * prefix
+            drive_integral = complex(np.sum(g_vals * durations))
+        else:
+            g_vals = np.asarray(pulse.g(times))
+            integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
+            drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
         raise SimulationGuard(
             "phase sums over the drive cycle are not finite; "

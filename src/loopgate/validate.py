@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import StepTooCoarseError, TruncationGuardError
+from .errors import SimulationGuard, StepTooCoarseError, TruncationGuardError
 from .fock import FockSpace
 from .gate import GateReport, _numeric_gates, gate_fidelity, gate_matrix
 from .model import PulseSpec
@@ -25,6 +25,13 @@ from .phase import sample_loop
 _STEP_RESOLUTION_LIMIT = 0.1
 
 _CONVERGENCE_THRESHOLD = 1e-8
+
+# largest n_r0 * dim^2 of an rwa scan, whose rotating-tier gates step one
+# (n_r0, 3 dim, 3 dim) complex generator of 144 bytes per dim^2 and r0 value;
+# below dim 8 the other per-r0 costs (about 2.5 kB) dominate, so dim counts as 8
+# there. Measured peak RSS at the limit (numpy 2.4, x86-64 Linux): 0.51 GB for
+# 7 r0 values at dim 512, 0.87 GB for 31 250 at dim 8 with MAX_SAMPLES steps in all
+MAX_SCAN_SIZE = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,12 @@ def rwa_error_scan(
         raise ValueError("r0_values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("r0_values must be strictly ascending")
+    size = len(values) * max(space.dim, 8) ** 2
+    if size > MAX_SCAN_SIZE:
+        raise SimulationGuard(
+            f"{len(values)} r0 values at dim {space.dim} need about {144 * size / 1e9:.3g} GB: "
+            f"n_r0 * max(dim, 8)^2 = {size}, above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim"
+        )
     if dt * max(values) >= _STEP_RESOLUTION_LIMIT:
         raise StepTooCoarseError(
             f"dt * max(r0) = {dt * max(values):.3g} >= {_STEP_RESOLUTION_LIMIT}; "

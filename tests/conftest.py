@@ -49,4 +49,4 @@ def random_closed_piecewise(rng: np.random.Generator, quantum: float = 0.05):
 
 def hamiltonian(tier, pulse, space, t):
     """Dense bare-basis H(t) of one tier, summed from its operators and weights."""
-    return np.tensordot(hamiltonian_weights(tier, pulse, t)[0], hamiltonian_operators(tier, space), 1)
+    return np.tensordot(hamiltonian_weights(tier, pulse, t)[0], hamiltonian_operators(tier, space)[0], 1)

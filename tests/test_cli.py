@@ -15,7 +15,7 @@ from loopgate.config import load_config, parse_scalar
 from loopgate.errors import ConfigError
 from loopgate.evolve import MAX_SAMPLES
 from loopgate.fock import MAX_DIM
-from loopgate.validate import ScanRow, ValidationReport
+from loopgate.validate import MAX_SCAN_SIZE, ScanRow, ValidationReport
 
 CIRCULAR_CONFIG = """\
 [pulse]
@@ -111,6 +111,45 @@ class TestConfigSyntax:
         text = "[pulse]\nshape = piecewise\nsegments = 1.0 0.1+0j ; 0.5 -0.2+0.1j; 1.0 -0.05j  # three sides\n"
         pulse = load_config(write(tmp_path / "p.ini", text)).pulse
         assert pulse.g_shape.segments == ((1.0, 0.1), (0.5, -0.2 + 0.1j), (1.0, -0.05j))
+
+    @pytest.mark.parametrize(
+        "text,messages",
+        [
+            (
+                "[pulse]\nshape = sampled\ndt = -0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n",
+                ["pulse.dt: must be > 0"],
+            ),
+            (
+                "[pulse]\nshape = sampled\ndt = abc\nvalues = 0.1 garbage\n",
+                ["pulse.dt: invalid numeric expression 'abc'", "pulse.values: invalid numeric expression 'garbage'"],
+            ),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = truncation\ndims = 8 x 16\n",
+                ["scan.dims: invalid numeric expression 'x'"],
+            ),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = rwa\nr0_values = 1 x\n",
+                ["scan.r0_values: invalid numeric expression 'x'"],
+            ),
+            (
+                "[pulse]\nshape = circular\ng0 = abc\nnu = 0.2\n",
+                ["pulse.g0: invalid numeric expression 'abc'"],
+            ),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[sweep]\nr0 = 1 x\nnu =\nloops = 2\n",
+                [
+                    "sweep.r0: invalid numeric expression 'x'",
+                    "sweep.nu: needs at least one value",
+                    "sweep.loops: not a sweepable pulse field ('g0', 'nu', 'phase0', 'r0', 'T')",
+                ],
+            ),
+        ],
+        ids=["sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields"],
+    )
+    def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
+        cfg = write(tmp_path / "c.ini", text)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "".join(f"config error: {m}\n" for m in messages)
 
     def test_missing_raman_keys_listed_in_field_order(self, tmp_path):
         cfg = write(tmp_path / "r.ini", "[pulse]\nshape = circular\nnu = 0.2\n\n[raman]\n")
@@ -285,7 +324,7 @@ class TestGateCommand:
         assert payload["fidelity"] > 0.999
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["phases", "gate"])
 def test_nan_trajectory_fails_closure_guard(tmp_path, capsys, command):
     # g0 is finite, but the trapezoid sums overflow, so alpha(T) is NaN
@@ -296,7 +335,7 @@ def test_nan_trajectory_fails_closure_guard(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
     [["phases"], ["phases", "--allow-open"], ["gate"], ["sweep"]],
@@ -309,6 +348,27 @@ def test_overflowing_phase_sums_are_a_guard(tmp_path, capsys, argv):
     assert cli.main([*argv, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "not finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g0", ["1e200", "1e308"])
+@pytest.mark.parametrize(
+    "command,scan",
+    [
+        ("phases", ""),
+        ("gate", ""),
+        ("sweep", "\n[sweep]\nnu = 0.2\n"),
+        ("validate", "\n[scan]\nkind = rwa\nr0_values = 1 2\ndt = 0.01\ndim = 4\n"),
+        ("validate", "\n[scan]\nkind = truncation\ndims = 8 16\n"),
+    ],
+    ids=["phases", "gate", "sweep", "validate-rwa", "validate-truncation"],
+)
+def test_overflowing_drive_prints_one_error_line(tmp_path, capsys, command, scan, g0):
+    cfg = write(tmp_path / "o.ini", CIRCULAR_CONFIG.replace("g0 = 0.1", f"g0 = {g0}") + scan)
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -367,6 +427,45 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
     assert cli.main(["validate", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: every dim must be >= 4 * max|alpha|^2 = inf")
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,pulse,code,message",
+    [
+        ("phases", "g0 = 0.2\nnu = 1\nloops = 1e308\n", 1, "config error: pulse: PulseSpec.T must be finite"),
+        ("gate", "g0 = 0.2\nnu = 1\nr0 = 1e308\n\n[run]\nmethod = numeric_rwa\ndt = 0.02\n", 0, ""),
+        (
+            "gate",
+            "g0 = 0.2\nnu = 1\nr0 = 1e308\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n",
+            2,
+            "error: drive too strong",
+        ),
+        ("sweep", "shape = sampled\ndt = 1e308\nvalues = 0.1 0.1j -0.1\n", 1, "config error: pulse.values: "),
+        ("sweep", "shape = piecewise\nsegments = 1e308 0.1; 1e308 -0.1\n", 1, "config error: pulse.segments: "),
+    ],
+    ids=["loops", "r0-rwa", "r0-rotating", "sampled-duration", "piecewise-duration"],
+)
+def test_values_near_the_float_limit_end_in_a_documented_exit_code(tmp_path, capsys, command, pulse, code, message):
+    # found by the fuzz tests: an int overflow in the cycle time, a fast phase that overflows
+    # to nan, and drive durations that overflow while their grid is built
+    cfg = write(tmp_path / "f.ini", "[space]\ndim = 6\n\n[sweep]\nr0 = 0\n\n[pulse]\n" + pulse)
+    assert cli.main([command, "--config", cfg]) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_oversized_rwa_scan_is_refused_before_the_first_gate(tmp_path, capsys):
+    # 100 r0 values at dim 512 would step a 3.8 GB generator
+    r0_values = " ".join(str(r0) for r0 in range(1, 101))
+    text = CIRCULAR_CONFIG + f"\n[scan]\nkind = rwa\nr0_values = {r0_values}\ndt = 0.0005\ndim = 512\n"
+    cfg = write(tmp_path / "v.ini", text)
+    assert cli.main(["validate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: 100 r0 values at dim 512 need about 3.77 GB: n_r0 * max(dim, 8)^2 = 26214400, "
+        f"above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim\n"
+    )
     assert captured.out == ""
 
 
@@ -634,29 +733,15 @@ _FUZZ_KEYS = (
 )
 _FUZZ_VALUES = (
     "", "%", "a%b.csv", " ; ", "1 ; 2", "nan", "1e400", "2**3", "garbage", "1\n[broken", "0", "1", "-1", "0.1",
-    "pi/2", "1e-300", "1e300", "0.1+0.2j", "circular", "piecewise", "sampled", "0.05 0.1", "json", "analytic",
+    "pi/2", "1e-300", "1e300", "1e308", "0.1+0.2j", "circular", "piecewise", "sampled", "0.05 0.1", "json", "analytic",
     "1.0 0.1+0j ; 0.5 -0.2+0.1j; 1.0 -0.05j", "0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j",
 )
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    base=st.sampled_from(["circular", "piecewise", "sampled"]),
-    entries=st.lists(
-        st.tuples(
-            st.sampled_from(["pulse", "raman", "space", "run", "output", "scan", "sweep", "extra"]),
-            st.sampled_from(_FUZZ_KEYS),
-            st.sampled_from(_FUZZ_VALUES),
-        ),
-        max_size=6,
-    ),
-    command=st.sampled_from(["phases", "sweep"]),
-)
-def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries, command):
-    # a README drive with entries set, added or replaced; outputs land in tmp_path
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+def fuzzed_config(base: str, entries) -> str:
+    """A config with entries set, added or replaced on the base text."""
     sections: dict[str, dict[str, str]] = {}
-    for line in GOLDEN_CONFIGS[base].splitlines():
+    for line in base.splitlines():
         if line.startswith("["):
             current = sections.setdefault(line.strip("[]"), {})
         elif "=" in line:
@@ -664,15 +749,72 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, cap
             current[key.strip()] = value.strip()
     for section, key, value in entries:
         sections.setdefault(section, {})[key] = value
-    text = "".join(
+    return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for name, body in sections.items()
     )
-    cfg = write(tmp_path / "f.ini", text)
+
+
+FUZZ_ENTRIES = st.lists(
+    st.tuples(
+        st.sampled_from(["pulse", "raman", "space", "run", "output", "scan", "sweep", "extra"]),
+        st.sampled_from(_FUZZ_KEYS),
+        st.sampled_from(_FUZZ_VALUES),
+    ),
+    max_size=6,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from(["circular", "piecewise", "sampled"]),
+    entries=FUZZ_ENTRIES,
+    command=st.sampled_from(["phases", "sweep"]),
+)
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries, command):
+    # a README drive with entries set, added or replaced; outputs land in tmp_path
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    cfg = write(tmp_path / "f.ini", fuzzed_config(GOLDEN_CONFIGS[base], entries))
     try:
         load_config(cfg)
     except ConfigError:
         pass
     assert cli.main([command, "--config", cfg, "--steps", "64"]) in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
+NUMERIC_FUZZ_PULSE = "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 5\n\n"
+
+# cheap numeric bases, each exit 0 as written: dim <= 8 and about 300 steps
+NUMERIC_FUZZ_BASES = {
+    "numeric_rwa": ["gate", "[space]\ndim = 8\n\n[run]\nmethod = numeric_rwa\ndt = 0.02\n"],
+    "numeric_rotating": ["gate", "[space]\ndim = 6\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n"],
+    "rwa": ["validate", "[scan]\nkind = rwa\nr0_values = 2 4\ndt = 0.02\ndim = 6\n"],
+    "truncation": ["validate", "[scan]\nkind = truncation\ndims = 6 8\ndt = 0.02\n"],
+}
+
+
+# only the entries these commands read, so that most examples get past the config
+NUMERIC_FUZZ_ENTRIES = st.lists(
+    st.tuples(
+        st.sampled_from(["pulse", "space", "run", "scan"]),
+        st.sampled_from(["g0", "nu", "phase0", "r0", "T", "loops", "dt", "dim", "dims", "r0_values", "method", "kind"]),
+        st.sampled_from(_FUZZ_VALUES + ("numeric_rwa", "numeric_rotating", "rwa", "truncation", "4 8", "1 2")),
+    ),
+    max_size=3,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(sorted(NUMERIC_FUZZ_BASES)), entries=NUMERIC_FUZZ_ENTRIES)
+def test_fuzzed_numeric_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries):
+    # a small circle (gamma = 0.08 pi) on each numeric path; no input may warn or raise
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    command, tail = NUMERIC_FUZZ_BASES[base]
+    text = NUMERIC_FUZZ_PULSE + tail
+    cfg = write(tmp_path / "f.ini", fuzzed_config(text, entries))
+    assert cli.main([command, "--config", cfg]) in (0, 1, 2, 3)
     capsys.readouterr()
 
 

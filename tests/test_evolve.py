@@ -192,7 +192,7 @@ def dense_states(tier, pulse, space, states, t1, dt):
     n = max(1, math.ceil(t1 / dt - 1e-9))
     h = t1 / n
     weights = hamiltonian_weights(tier, pulse, (np.arange(n) + 0.5) * h)
-    final, _ = evolve._step_blocks(hamiltonian_operators(tier, space), weights[:, None], h, states[None])
+    final, _ = evolve._step_blocks(*hamiltonian_operators(tier, space), weights[:, None], h, states[None])
     return final[0]
 
 
@@ -306,7 +306,7 @@ class TestGuards:
             propagate_states(HamiltonianTier.ROTATING_FRAME, [standard_pulse] * 3, *args)
 
     def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
-        def nan_steps(operators, weights, h, blocks):
+        def nan_steps(operators, norms, weights, h, blocks):
             return np.full(np.shape(blocks), np.nan + 0j), 1
 
         monkeypatch.setattr(evolve, "_step_blocks", nan_steps)

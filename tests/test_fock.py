@@ -35,3 +35,11 @@ def test_number_operator_spectrum(dim):
     number = creation(space) @ annihilation(space)
     np.testing.assert_allclose(np.diag(number).real, np.arange(dim), rtol=1e-15, atol=0)
     assert np.abs(number - np.diag(np.diag(number))).max() == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_ladder_operator_norm_is_sqrt_dim_minus_one(dim):
+    # the bound the RWA step loop takes for a and a^dag instead of an SVD
+    space = FockSpace(dim)
+    for op in (annihilation(space), creation(space)):
+        assert np.linalg.norm(op, ord=2) == pytest.approx(math.sqrt(dim - 1), rel=1e-15)

@@ -18,7 +18,7 @@ from loopgate import (
     effective_couplings,
     sigma_x_basis_change,
 )
-from loopgate.model import branch_lambda, cumulative_drive_integral
+from loopgate.model import branch_lambda, cumulative_drive_integral, hamiltonian_operators
 from conftest import hamiltonian
 
 
@@ -244,6 +244,14 @@ class TestHamiltonians:
             hamiltonian(ROTATING, pulse, SPACE, 0.0) + hamiltonian(ROTATING, pulse, SPACE, t_half)
         )
         assert np.abs(avg - hamiltonian(RWA, pulse, SPACE, 0.0)).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    @pytest.mark.parametrize("triplet", [False, True], ids=["bare", "triplet"])
+    @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
+    def test_operator_norms_are_the_svd_norms(self, tier, triplet, dim):
+        # each operator is kron(qubit factor, Fock factor), so its 2-norm is the product of theirs
+        operators, norms = hamiltonian_operators(tier, FockSpace(dim), triplet)
+        np.testing.assert_allclose(norms, np.linalg.norm(operators, ord=2, axis=(1, 2)), rtol=1e-15, atol=0)
 
     def test_branch_count(self):
         assert BRANCHES == ("++", "+-", "-+", "--")

@@ -10,11 +10,14 @@ from loopgate import (
     gate_matrix,
     PiecewiseConstant,
     PulseSpec,
+    SimulationGuard,
     StepTooCoarseError,
     TruncationGuardError,
     rwa_error_scan,
     truncation_scan,
+    validate,
 )
+from loopgate.validate import MAX_SCAN_SIZE
 
 
 @pytest.fixture
@@ -27,6 +30,21 @@ class TestRwaScan:
     def test_step_guard(self, short_pulse):
         with pytest.raises(StepTooCoarseError):
             rwa_error_scan(short_pulse, [1.0, 30.0], FockSpace(4), dt=0.01)
+
+    @pytest.mark.parametrize("dim,limit", [(2, MAX_SCAN_SIZE // 64), (512, MAX_SCAN_SIZE // 512**2)])
+    def test_stack_size_is_bounded(self, short_pulse, monkeypatch, dim, limit):
+        # below dim 8 each r0 value counts as a dim-8 generator; a scan at the limit gets past the bound
+        class ReachedTheGates(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise ReachedTheGates
+
+        monkeypatch.setattr(validate, "gate_matrix", reached)
+        with pytest.raises(SimulationGuard, match=f"{limit + 1} r0 values at dim {dim} need about"):
+            rwa_error_scan(short_pulse, list(range(1, limit + 2)), FockSpace(dim), dt=1e-9)
+        with pytest.raises(ReachedTheGates):
+            rwa_error_scan(short_pulse, list(range(1, limit + 1)), FockSpace(dim), dt=1e-9)
 
     def test_rejects_unordered_or_nonpositive(self, short_pulse):
         with pytest.raises(ValueError):
