@@ -24,7 +24,7 @@ from .config import RunConfig, load_config, parse_int, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
 from .fock import FockSpace
 from .gate import design_circular_pulse, gate_matrix
-from .model import BRANCHES, Circular
+from .model import BRANCHES
 from .phase import solve_loop
 from .validate import rwa_error_scan, truncation_scan
 
@@ -145,9 +145,8 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def _pulse_config_text(pulse) -> str:
+def _pulse_config_text(pulse, loops: int) -> str:
     shape = pulse.g_shape
-    loops = max(1, round(pulse.T * abs(shape.nu) / (2 * math.pi)))
     lines = [
         "[pulse]",
         "shape = circular",
@@ -176,7 +175,7 @@ def cmd_design(args) -> int:
         pulse = design_circular_pulse(target, **kwargs)
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
-    _emit(args.out, _pulse_config_text(pulse))
+    _emit(args.out, _pulse_config_text(pulse, kwargs.get("loops", 1)))
     return EXIT_OK
 
 
@@ -207,10 +206,7 @@ def _sweep_pulse(base, field: str, value: float):
         return replace(base, r0=value)
     if field == "T":
         return replace(base, T=value)
-    shape = base.g_shape
-    if not isinstance(shape, Circular):
-        raise ConfigError(f"sweep.{field}: only circular pulses expose this field")
-    return replace(base, g_shape=replace(shape, **{field: value}))
+    return replace(base, g_shape=replace(base.g_shape, **{field: value}))
 
 
 def cmd_sweep(args) -> int:

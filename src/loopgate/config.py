@@ -42,6 +42,7 @@ FORMAT_CHOICES = ("csv", "json")
 SCAN_KINDS = ("rwa", "truncation")
 
 _SWEEPABLE = ("g0", "nu", "phase0", "r0", "T")
+_CIRCULAR_ONLY = ("g0", "nu", "phase0")
 
 
 def _evaluate(node: ast.expr):
@@ -327,7 +328,7 @@ def _not_sweepable(text):
     raise ValueError(f"not a sweepable pulse field {_SWEEPABLE}")
 
 
-def _build_sweep(reader: _Reader) -> SweepConfig | None:
+def _build_sweep(reader: _Reader, pulse: PulseSpec | None) -> SweepConfig | None:
     parser = reader.parser
     if not parser.has_section("sweep"):
         return None
@@ -336,7 +337,11 @@ def _build_sweep(reader: _Reader) -> SweepConfig | None:
     for key in parser.options("sweep"):
         if key != "max_points":
             values = reader.get("sweep", key, list_of(parse_real) if key in _SWEEPABLE else _not_sweepable)
-            if reader.check(values, f"sweep.{key}", "needs at least one value"):
+            if not reader.check(values, f"sweep.{key}", "needs at least one value"):
+                continue
+            # a pulse that failed to build has reported its own errors
+            exposed = key not in _CIRCULAR_ONLY or pulse is None or isinstance(pulse.g_shape, Circular)
+            if reader.check(exposed, f"sweep.{key}", "only circular pulses expose this field"):
                 fields[key] = values
     reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
     return SweepConfig(fields=fields, max_points=max_points)
@@ -388,7 +393,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
     reader.warn_unknown("output")
 
     scan = _build_scan(reader)
-    sweep = _build_sweep(reader)
+    sweep = _build_sweep(reader, pulse)
 
     for section in parser.sections():
         if section not in ("pulse", "raman", "space", "run", "output", "scan", "sweep"):

@@ -15,18 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, NonUnitaryResultError, OpenLoopError, TrivialTargetWarning
+from .errors import InfeasibleConstraintError, NonUnitaryResultError, StepTooCoarseError, TrivialTargetWarning
 from .evolve import propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
-from .phase import DEFAULT_PHASE_STEPS, closure_tolerance, sample_loop, solve_loop
+from .phase import DEFAULT_PHASE_STEPS, solve_loop
 
 GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
 
-DEFAULT_NONTRIVIALITY_TOL = 1e-6
+_NONTRIVIALITY_TOL = 1e-6
 
 # minimum vacuum-return amplitude for a trustworthy phase readout
 _VACUUM_RETURN_MIN = 0.99
+
+# largest rotating-tier dt * r0: about 30 steps per period pi / r0 of the fast e^{2i r0 t}
+_STEP_RESOLUTION_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,10 @@ def gate_fidelity(matrix: np.ndarray, reference: np.ndarray) -> float:
     return float(abs(np.trace(reference.conj().T @ matrix)) / 4.0)
 
 
-def nontriviality(gamma: float, tol: float = DEFAULT_NONTRIVIALITY_TOL) -> bool:
-    """True iff gamma sits further than tol from every multiple of 2*pi."""
+def nontriviality(gamma: float) -> bool:
+    """True iff gamma sits further than 1e-6 from every multiple of 2*pi."""
     wrapped = math.remainder(gamma, 2 * math.pi)
-    return abs(wrapped) > tol
+    return abs(wrapped) > _NONTRIVIALITY_TOL
 
 
 def gate_matrix(
@@ -72,32 +75,26 @@ def gate_matrix(
 ) -> GateReport:
     """Build the cycle's gate either from accumulated branch phases or numerically.
 
-    The analytic method assembles diag(e^{i gamma_++}, 1, 1, e^{i gamma_--})
-    from the scalar phase engine with n_steps intervals. The numeric methods
-    propagate the full composite system on the requested tier with step dt
-    (T/4000 when None) from every |branch> (x) |vacuum> state, project the
-    final cavity state back on vacuum, and report the measured 4x4 branch
-    matrix, gauged so the middle entries equal 1. dt applies only to the
+    Every method first solves the ++ loop on 20 000 intervals: its |alpha(T)|
+    is the reported closure residual, and solve_loop refuses an open loop
+    (gate phases are only defined for cyclic evolutions) or an overflowing
+    drive. The analytic method is the ideal gate of the ++ total phase on
+    n_steps intervals. The numeric methods propagate the full composite
+    system on the requested tier with step dt (T/4000 when None) from every
+    |branch> (x) |vacuum> state, project the final cavity state back on
+    vacuum, and report the measured 4x4 branch matrix, gauged so the middle
+    entries equal 1; the rotating tier raises StepTooCoarseError unless
+    dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only to the
     numeric methods and n_steps only to the analytic one.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")
 
-    _, _, alphas = sample_loop(pulse, 20001)
-    closure_residual = float(abs(alphas[-1]))
-    if not (closure_residual <= closure_tolerance(alphas, closure_tol)):
-        raise OpenLoopError(
-            f"drive loop does not close: |alpha(T)| = {closure_residual:.6e}; "
-            "gate phases are only defined for cyclic evolutions"
-        )
+    closure_residual = solve_loop(pulse, 20_000, closure_tol=closure_tol).closure_residual("++")
 
     if method == "analytic":
-        solution = solve_loop(pulse, n_steps, closure_tol=closure_tol)
-        plus, minus = solution.breakdown("++"), solution.breakdown("--")
-        matrix = np.diag(
-            [cmath.exp(1j * plus.gamma_total), 1.0, 1.0, cmath.exp(1j * minus.gamma_total)]
-        ).astype(complex)
-        extracted = plus.gamma_total
+        extracted = solve_loop(pulse, n_steps, closure_tol=closure_tol).breakdown("++").gamma_total
+        matrix = ideal_gate(extracted)
         diagonality = 0.0
         health = {}
     else:
@@ -122,6 +119,13 @@ def _numeric_gates(pulses, space, method, dt):
     tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
     if dt is None:
         dt = pulses[0].T / 4000
+    max_r0 = max(pulse.r0 for pulse in pulses)
+    # only the rotating tier keeps the 2*r0 oscillation; "not <" refuses an overflowing product too
+    if tier is HamiltonianTier.ROTATING_FRAME and not (dt * max_r0 < _STEP_RESOLUTION_LIMIT):
+        raise StepTooCoarseError(
+            f"dt * max(r0) = {dt * max_r0:.3g} >= {_STEP_RESOLUTION_LIMIT}; "
+            "the 2*r0 oscillation would be unresolved; reduce dt"
+        )
     columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
     result = propagate_states(tier, pulses, space, columns, 0.0, pulses[0].T, dt)
     gates = []
@@ -144,7 +148,6 @@ def design_circular_pulse(
     g0: float | None = None,
     T: float | None = None,
     loops: int = 1,
-    r0: float = 0.0,
 ) -> PulseSpec:
     """Solve loops * 2*pi * g0^2 / nu^2 = target_gamma for a circular drive.
 
@@ -181,7 +184,7 @@ def design_circular_pulse(
             TrivialTargetWarning,
             stacklevel=2,
         )
-    return PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=0.0), T=T, r0=r0)
+    return PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=0.0), T=T)
 
 
 def entangling_check(report: GateReport) -> float:

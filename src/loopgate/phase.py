@@ -33,13 +33,6 @@ DEFAULT_PHASE_STEPS = 100_000
 _CLOSURE_REL_TOL = 1e-6
 
 
-def closure_tolerance(alphas: np.ndarray, closure_tol: float | None = None) -> float:
-    """Default closure tolerance, scaled to the loop size so large loops are not misflagged."""
-    if closure_tol is not None:
-        return closure_tol
-    return _CLOSURE_REL_TOL * max(1.0, float(np.abs(alphas).max()))
-
-
 def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform grid over the cycle, the running integral I of g on it, and the ++ loop.
 
@@ -132,7 +125,8 @@ def solve_loop(
     the G integral is not finite: the drive is too strong for double precision.
     """
     times, run, alphas = sample_loop(pulse, n_steps + 1)
-    tol = closure_tolerance(alphas, closure_tol)
+    # the default tolerance scales with the loop size so large loops are not misflagged
+    tol = _CLOSURE_REL_TOL * max(1.0, float(np.abs(alphas).max())) if closure_tol is None else closure_tol
     residual = float(abs(alphas[-1]))
     if require_closed and not (residual <= tol):
         raise OpenLoopError(f"trajectory for branch ++ does not close: |alpha(T)| = {residual:.6e}")
@@ -154,6 +148,6 @@ def solve_loop(
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
         raise SimulationGuard(
             "phase sums over the drive cycle are not finite; "
-            "the drive is too strong for double-precision arithmetic"
+            "the drive is too strong for double precision"
         )
     return LoopSolution(alphas[-1], loop_sum, drive_integral, tol)

@@ -143,8 +143,15 @@ class TestConfigSyntax:
                     "sweep.loops: not a sweepable pulse field ('g0', 'nu', 'phase0', 'r0', 'T')",
                 ],
             ),
+            (
+                "[pulse]\nshape = piecewise\nsegments = 1.0 0.1; 1.0 -0.1\n\n[sweep]\ng0 = 0.1 0.2\nmax_points = 0\n",
+                ["sweep.g0: only circular pulses expose this field", "sweep.max_points: must be >= 1"],
+            ),
         ],
-        ids=["sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields"],
+        ids=[
+            "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
+            "sweep-shape-field",
+        ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
         cfg = write(tmp_path / "c.ini", text)
@@ -440,16 +447,22 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
             "gate",
             "g0 = 0.2\nnu = 1\nr0 = 1e308\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n",
             2,
-            "error: drive too strong",
+            "error: dt * max(r0) = 2e+306 >= 0.1",
+        ),
+        (
+            "gate",
+            "g0 = 0.2\nnu = 1\nr0 = 1e300\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n",
+            2,
+            "error: dt * max(r0) = 2e+298 >= 0.1",
         ),
         ("sweep", "shape = sampled\ndt = 1e308\nvalues = 0.1 0.1j -0.1\n", 1, "config error: pulse.values: "),
         ("sweep", "shape = piecewise\nsegments = 1e308 0.1; 1e308 -0.1\n", 1, "config error: pulse.segments: "),
     ],
-    ids=["loops", "r0-rwa", "r0-rotating", "sampled-duration", "piecewise-duration"],
+    ids=["loops", "r0-rwa", "r0-rotating", "r0-rotating-unresolved", "sampled-duration", "piecewise-duration"],
 )
 def test_values_near_the_float_limit_end_in_a_documented_exit_code(tmp_path, capsys, command, pulse, code, message):
-    # found by the fuzz tests: an int overflow in the cycle time, a fast phase that overflows
-    # to nan, and drive durations that overflow while their grid is built
+    # found by the fuzz tests: an int overflow in the cycle time, rotating-tier steps far too coarse
+    # for the fast 2*r0 oscillation, and drive durations that overflow while their grid is built
     cfg = write(tmp_path / "f.ini", "[space]\ndim = 6\n\n[sweep]\nr0 = 0\n\n[pulse]\n" + pulse)
     assert cli.main([command, "--config", cfg]) == code
     assert capsys.readouterr().err.startswith(message)
@@ -783,7 +796,7 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, cap
     capsys.readouterr()
 
 
-NUMERIC_FUZZ_PULSE = "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 5\n\n"
+NUMERIC_FUZZ_PULSE = "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 4\n\n"
 
 # cheap numeric bases, each exit 0 as written: dim <= 8 and about 300 steps
 NUMERIC_FUZZ_BASES = {

@@ -11,6 +11,7 @@ from loopgate import (
     InfeasibleConstraintError,
     OpenLoopError,
     PulseSpec,
+    StepTooCoarseError,
     TrivialTargetWarning,
     design_circular_pulse,
     entangling_check,
@@ -118,6 +119,13 @@ class TestGateMatrix:
         pulse = design_circular_pulse(math.pi / 2, g0=0.1)
         with pytest.raises(NonUnitaryResultError):
             gate_matrix(pulse, FockSpace(4), method="numeric_rwa", dt=pulse.T / 1000)
+
+    @pytest.mark.parametrize("dt,r0", [(0.01, 10.0), (0.02, 10.0), (None, 100.0)])
+    def test_rotating_step_must_resolve_the_fast_oscillation(self, dt, r0):
+        # dt * r0 = 0.1, 0.2 and (T/4000) * r0 = 0.157: the rwa scan's stack refuses the same
+        pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=1.0), T=2 * math.pi, r0=r0)
+        with pytest.raises(StepTooCoarseError, match="the 2\\*r0 oscillation would be unresolved"):
+            gate_matrix(pulse, FockSpace(4), method="numeric_rotating", dt=dt)
 
 
 class TestDesigner:
