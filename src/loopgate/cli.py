@@ -18,9 +18,9 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
-from .config import RunConfig, load_config, parse_int, parse_real
+from .config import RunConfig, _sweep_pulse, load_config, parse_int, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
 from .fock import FockSpace
 from .gate import design_circular_pulse, gate_matrix
@@ -94,9 +94,7 @@ def _emit_rows(cfg: RunConfig, rows: list[dict], payload: dict | None = None) ->
 
 def cmd_phases(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    solution = solve_loop(
-        cfg.pulse, cfg.n_steps, closure_tol=cfg.closure_tol, require_closed=not args.allow_open
-    )
+    solution = solve_loop(cfg.pulse, cfg.n_steps, require_closed=not args.allow_open)
     rows = []
     for branch in BRANCHES:
         breakdown = solution.breakdown(branch)
@@ -120,14 +118,7 @@ def cmd_phases(args) -> int:
 
 def cmd_gate(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    report = gate_matrix(
-        cfg.pulse,
-        FockSpace(cfg.dim),
-        method=cfg.method,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        closure_tol=cfg.closure_tol,
-    )
+    report = gate_matrix(cfg.pulse, FockSpace(cfg.dim), method=cfg.method, dt=cfg.dt, n_steps=cfg.n_steps)
     summary = {
         "method": report.method,
         "extracted_gamma": report.extracted_gamma,
@@ -199,14 +190,6 @@ def cmd_validate(args) -> int:
     ]
     _emit_rows(cfg, rows, {"kind": report.kind, "monotone": report.monotone_flag, "rows": records})
     return EXIT_OK if report.monotone_flag else EXIT_REGRESSION
-
-
-def _sweep_pulse(base, field: str, value: float):
-    if field == "r0":
-        return replace(base, r0=value)
-    if field == "T":
-        return replace(base, T=value)
-    return replace(base, g_shape=replace(base.g_shape, **{field: value}))
 
 
 def cmd_sweep(args) -> int:

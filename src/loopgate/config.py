@@ -8,7 +8,7 @@ Sections:
     [raman]   optional channel parameters; derives r0 and, for circular
               shapes, g0/phase0 defaults from the effective couplings
     [space]   dim
-    [run]     method, dt, n_steps, closure_tol
+    [run]     method, dt, n_steps
     [output]  path, format
     [scan]    kind = rwa | truncation, r0_values / dims, dt, dim
     [sweep]   max_points plus one "field = value list" entry per swept field
@@ -25,7 +25,7 @@ import dataclasses
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .gate import GATE_METHODS
@@ -137,7 +137,6 @@ class RunConfig:
     method: str = "analytic"
     dt: float | None = None
     n_steps: int = DEFAULT_PHASE_STEPS
-    closure_tol: float | None = None
     out_path: str | None = None
     out_format: str = "csv"
     scan: ScanConfig | None = None
@@ -318,10 +317,18 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
             "scan.dims",
             "must be strictly ascending",
         )
+        reader.check(all(d >= 2 for d in scan.dims), "scan.dims", "must be >= 2")
     reader.check(scan.dt is None or scan.dt > 0, "scan.dt", "must be > 0")
     reader.check(scan.dim is None or scan.dim >= 2, "scan.dim", "must be >= 2")
     reader.warn_unknown("scan")
     return scan
+
+
+def _sweep_pulse(base: PulseSpec, key: str, value: float) -> PulseSpec:
+    """base with one swept field set: r0 and T on the PulseSpec, the rest on its circular shape."""
+    if key in _CIRCULAR_ONLY:
+        return replace(base, g_shape=replace(base.g_shape, **{key: value}))
+    return replace(base, **{key: value})
 
 
 def _not_sweepable(text):
@@ -343,6 +350,12 @@ def _build_sweep(reader: _Reader, pulse: PulseSpec | None) -> SweepConfig | None
             exposed = key not in _CIRCULAR_ONLY or pulse is None or isinstance(pulse.g_shape, Circular)
             if reader.check(exposed, f"sweep.{key}", "only circular pulses expose this field"):
                 fields[key] = values
+                for value in values if pulse is not None else ():
+                    try:
+                        _sweep_pulse(pulse, key, value)
+                    except ValueError as exc:
+                        reader.errors.append(f"sweep.{key}: {exc}")
+                        break
     reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
     return SweepConfig(fields=fields, max_points=max_points)
 
@@ -381,8 +394,6 @@ def load_config(path: str, overrides=()) -> RunConfig:
     reader.check(dt is None or dt > 0, "run.dt", "must be > 0")
     n_steps = reader.get("run", "n_steps", parse_int, default=RunConfig.n_steps)
     reader.check(n_steps is None or n_steps >= 2, "run.n_steps", "must be >= 2")
-    closure_tol = reader.get("run", "closure_tol", parse_real)
-    reader.check(closure_tol is None or closure_tol > 0, "run.closure_tol", "must be > 0")
     reader.warn_unknown("run")
 
     out_path = reader.get("output", "path", str.strip)
@@ -407,7 +418,6 @@ def load_config(path: str, overrides=()) -> RunConfig:
         method=method,
         dt=dt,
         n_steps=n_steps,
-        closure_tol=closure_tol,
         out_path=out_path,
         out_format=out_format,
         scan=scan,

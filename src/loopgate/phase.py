@@ -75,7 +75,9 @@ class LoopSolution:
     alpha_T: complex
     loop_sum: float
     drive_integral: complex
+    # the resolved closure tolerance and the largest |alpha| of the ++ loop it scales with
     closure_tol: float
+    excursion: float
 
     def breakdown(self, branch: str) -> PhaseBreakdown:
         """Geometric, dynamical and total phase of one branch, unwrapped."""
@@ -108,25 +110,22 @@ class LoopSolution:
         return (lam * lam / 4) * 0.5 * self.loop_sum
 
 
-def solve_loop(
-    pulse: PulseSpec,
-    n_steps: int = DEFAULT_PHASE_STEPS,
-    closure_tol: float | None = None,
-    require_closed: bool = True,
-) -> LoopSolution:
+def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_closed: bool = True) -> LoopSolution:
     """Sample the ++ loop on n_steps intervals and integrate G once, for every branch.
 
     One running integral I(t) of the drive gives the loop alpha = -i conj(I),
-    its closure residual and loop sum, and the trapezoid integral of
-    G = g conj(I) - conj(g) I; piecewise drives integrate G by exact segment
-    sums instead. Raises OpenLoopError when the loop fails to close and
-    require_closed is set; the closed-loop proportionality relations are
-    meaningless for open paths. Raises SimulationGuard when the loop sum or
+    its excursion max|alpha|, closure residual and loop sum, and the trapezoid
+    integral of G = g conj(I) - conj(g) I; piecewise drives integrate G by
+    exact segment sums instead. The loop counts as closed when |alpha(T)| <=
+    1e-6 * max(1, max|alpha|), a tolerance that scales with the loop so large
+    loops are not misflagged. Raises OpenLoopError when the loop fails to
+    close and require_closed is set; the closed-loop proportionality relations
+    are meaningless for open paths. Raises SimulationGuard when the loop sum or
     the G integral is not finite: the drive is too strong for double precision.
     """
     times, run, alphas = sample_loop(pulse, n_steps + 1)
-    # the default tolerance scales with the loop size so large loops are not misflagged
-    tol = _CLOSURE_REL_TOL * max(1.0, float(np.abs(alphas).max())) if closure_tol is None else closure_tol
+    excursion = float(np.abs(alphas).max())
+    tol = _CLOSURE_REL_TOL * max(1.0, excursion)
     residual = float(abs(alphas[-1]))
     if require_closed and not (residual <= tol):
         raise OpenLoopError(f"trajectory for branch ++ does not close: |alpha(T)| = {residual:.6e}")
@@ -150,4 +149,4 @@ def solve_loop(
             "phase sums over the drive cycle are not finite; "
             "the drive is too strong for double precision"
         )
-    return LoopSolution(alphas[-1], loop_sum, drive_integral, tol)
+    return LoopSolution(alphas[-1], loop_sum, drive_integral, tol, excursion)

@@ -13,13 +13,11 @@ projection, which is what the library delivers):
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import SimulationGuard, TruncationGuardError
 from .fock import FockSpace
 from .gate import GateReport, _numeric_gates, gate_fidelity, gate_matrix
 from .model import PulseSpec
-from .phase import sample_loop
+from .phase import solve_loop
 
 _CONVERGENCE_THRESHOLD = 1e-8
 
@@ -58,9 +56,11 @@ def rwa_error_scan(
 ) -> ValidationReport:
     """Rotating-frame gate versus strong-driving gate across classical drive strengths.
 
-    The strong-driving gate does not depend on r0 and is computed once; the
-    rotating-frame gates follow as one stack, which the numeric gate path
-    refuses with StepTooCoarseError unless dt * max(r0) < 0.1.
+    Nothing is stepped before both gate preconditions hold: solve_loop first
+    refuses an open or overflowing loop, as gate_matrix would, and the
+    rotating-frame gates, stepped as one stack, come next, so the numeric gate
+    path refuses the scan with StepTooCoarseError unless dt * max(r0) < 0.1.
+    The strong-driving gate does not depend on r0 and is computed last, once.
     monotone_flag records whether infidelity never increases along the scan.
     """
     values = [float(v) for v in r0_values]
@@ -76,9 +76,11 @@ def rwa_error_scan(
             f"{len(values)} r0 values at dim {space.dim} need about {144 * size / 1e9:.3g} GB: "
             f"n_r0 * max(dim, 8)^2 = {size}, above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim"
         )
-    reference = gate_matrix(pulse, space, method="numeric_rwa", dt=dt)
+    # the closure guard of every gate below, judged before anything is stepped
+    solve_loop(pulse, 20_000)
     # every r0 shares T and dt, so the rotating-frame gates are stepped as one stack
     gates, _ = _numeric_gates([replace(pulse, r0=r0) for r0 in values], space, "numeric_rotating", dt)
+    reference = gate_matrix(pulse, space, method="numeric_rwa", dt=dt)
     rows = [
         ScanRow(
             parameter_value=r0,
@@ -97,16 +99,17 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
 
     Row i reports |fidelity(dim_i) - fidelity(dim_{i-1})| in the infidelity
     column (0 for the first row) plus each gate's diagonality residual and
-    the phase drift from the previous dim. monotone_flag records whether the
-    final drift is below the convergence threshold.
+    the phase drift from the previous dim. Every dim must hold the loop:
+    dim >= 4 * max|alpha|^2, with max|alpha| taken from the same 20 000-interval
+    solve_loop that judges each gate's closure. monotone_flag records whether
+    the final drift is below the convergence threshold.
     """
     dims = [int(d) for d in dims]
     if not dims:
         raise ValueError("dims must be nonempty")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
-    _, _, alphas = sample_loop(pulse, 4001)
-    excursion = float(np.abs(alphas).max())
+    excursion = solve_loop(pulse, 20_000).excursion
     # a float power raises OverflowError where a product gives inf
     floor = 4.0 * excursion * excursion
     if any(d < floor for d in dims):

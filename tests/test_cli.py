@@ -147,10 +147,21 @@ class TestConfigSyntax:
                 "[pulse]\nshape = piecewise\nsegments = 1.0 0.1; 1.0 -0.1\n\n[sweep]\ng0 = 0.1 0.2\nmax_points = 0\n",
                 ["sweep.g0: only circular pulses expose this field", "sweep.max_points: must be >= 1"],
             ),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[sweep]\ng0 = 0.1 -0.1\nr0 = 0 -1\n",
+                [
+                    "sweep.g0: Circular.g0 must be finite and > 0, got -0.1",
+                    "sweep.r0: PulseSpec.r0 must be finite and >= 0, got -1.0",
+                ],
+            ),
+            (
+                "[pulse]\nshape = piecewise\nsegments = 1.0 0\n\n[scan]\nkind = truncation\ndims = 1 8\n",
+                ["scan.dims: must be >= 2"],
+            ),
         ],
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
-            "sweep-shape-field",
+            "sweep-shape-field", "sweep-values", "scan-dims-floor",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -288,6 +299,10 @@ class TestPhasesCommand:
         cfg = write(tmp_path / "u.ini", CIRCULAR_CONFIG + "typo_key = 3\n")
         assert cli.main(["phases", "--config", cfg]) == 1
         assert "run.typo_key: unknown key" in capsys.readouterr().err
+        # the closure tolerance is a fixed rule, not a setting
+        cfg = write(tmp_path / "t.ini", CIRCULAR_CONFIG + "closure_tol = 1e-3\n")
+        assert cli.main(["phases", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: run.closure_tol: unknown key\n"
 
 
 class TestGateCommand:
@@ -433,7 +448,7 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
     cfg = write(tmp_path / "t.ini", text)
     assert cli.main(["validate", "--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: every dim must be >= 4 * max|alpha|^2 = inf")
+    assert captured.err.startswith("error: phase sums over the drive cycle are not finite")
     assert captured.out == ""
 
 
@@ -593,6 +608,16 @@ class TestSweepCommand:
             CIRCULAR_CONFIG + "\n[sweep]\nmax_points = 2\ng0 = 0.05 0.1 0.2\n",
         )
         assert cli.main(["sweep", "--config", cfg]) == 1
+
+    def test_bad_values_are_refused_before_any_grid_point(self, tmp_path, capsys, monkeypatch):
+        def solved(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(cli, "solve_loop", solved)
+        cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\ng0 = 0.1 -0.1\nr0 = 0 -1\n")
+        assert cli.main(["sweep", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == ["sweep.g0", "sweep.r0"]
 
     def test_single_point_matches_phases(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\ng0 = 0.1\n")

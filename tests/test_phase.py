@@ -17,6 +17,7 @@ from loopgate import (
     solve_loop,
 )
 from loopgate.model import cumulative_drive_integral
+from loopgate.phase import sample_loop
 from conftest import random_closed_piecewise
 
 
@@ -157,7 +158,7 @@ class TestSampledDrive:
         grid = np.linspace(0.0, T, n_samp + 1)
         values = tuple(g0 * np.exp(-1j * nu * grid))
         sampled = PulseSpec(g_shape=Sampled(dt=T / n_samp, values=values), T=T)
-        breakdown = solve_loop(sampled, 65_536, closure_tol=1e-4).breakdown("++")
+        breakdown = solve_loop(sampled, 65_536).breakdown("++")
         assert breakdown.gamma_total == pytest.approx(math.pi / 2, rel=1e-4)
         assert abs(breakdown.gamma_total + breakdown.gamma_g) < 1e-6
         assert abs(breakdown.gamma_total - breakdown.gamma_d / 2) < 1e-6
@@ -207,6 +208,7 @@ class TestLoopSolutionRelations:
         assert plus.gamma_total == pytest.approx(-plus.gamma_g, abs=tol)
         assert plus.gamma_total == pytest.approx(plus.gamma_d / 2, abs=tol)
         assert solution.area("++") == pytest.approx(plus.gamma_total / 2, abs=tol)
+        assert bits(solution.excursion) == bits(float(np.abs(sample_loop(pulse, n_steps + 1)[2]).max()))
 
     @settings(max_examples=40, deadline=None)
     @given(closed_drives())

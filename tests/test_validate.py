@@ -13,6 +13,7 @@ from loopgate import (
     SimulationGuard,
     StepTooCoarseError,
     TruncationGuardError,
+    gate,
     rwa_error_scan,
     truncation_scan,
     validate,
@@ -31,6 +32,14 @@ class TestRwaScan:
         with pytest.raises(StepTooCoarseError):
             rwa_error_scan(short_pulse, [1.0, 30.0], FockSpace(4), dt=0.01)
 
+    def test_step_guard_refuses_before_anything_is_stepped(self, short_pulse, monkeypatch):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a gate was stepped")
+
+        monkeypatch.setattr(gate, "propagate_states", stepped)
+        with pytest.raises(StepTooCoarseError):
+            rwa_error_scan(short_pulse, [1.0, 2000.0], FockSpace(32), dt=1e-4)
+
     @pytest.mark.parametrize("dim,limit", [(2, MAX_SCAN_SIZE // 64), (512, MAX_SCAN_SIZE // 512**2)])
     def test_stack_size_is_bounded(self, short_pulse, monkeypatch, dim, limit):
         # below dim 8 each r0 value counts as a dim-8 generator; a scan at the limit gets past the bound
@@ -40,7 +49,7 @@ class TestRwaScan:
         def reached(*args, **kwargs):
             raise ReachedTheGates
 
-        monkeypatch.setattr(validate, "gate_matrix", reached)
+        monkeypatch.setattr(validate, "_numeric_gates", reached)
         with pytest.raises(SimulationGuard, match=f"{limit + 1} r0 values at dim {dim} need about"):
             rwa_error_scan(short_pulse, list(range(1, limit + 2)), FockSpace(dim), dt=1e-9)
         with pytest.raises(ReachedTheGates):
