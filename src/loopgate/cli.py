@@ -152,15 +152,19 @@ def _pulse_config_text(pulse, loops: int) -> str:
 
 
 def cmd_design(args) -> int:
-    target = parse_real(args.target)
-    kwargs = {}
-    for name, parse in (("g0", parse_real), ("T", parse_real), ("loops", parse_int)):
+    kwargs, errors = {}, []
+    # every argument is parsed, so each bad one is reported under its own name
+    for label, parse in (("target", parse_real), ("--g0", parse_real), ("--T", parse_real), ("--loops", parse_int)):
+        name = label.lstrip("-")
         text = getattr(args, name)
         if text is not None:
             try:
                 kwargs[name] = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"--{name}: {exc}") from None
+                errors.append(f"{label}: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    target = kwargs.pop("target")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TrivialTargetWarning)
         pulse = design_circular_pulse(target, **kwargs)
@@ -175,12 +179,10 @@ def cmd_validate(args) -> int:
     if cfg.scan is None:
         raise ConfigError("scan: section is required for the validate command")
     if cfg.scan.kind == "rwa":
-        report = rwa_error_scan(
-            cfg.pulse, cfg.scan.r0_values, FockSpace(cfg.scan.dim), cfg.scan.dt
-        )
+        report = rwa_error_scan(cfg.pulse, cfg.scan.values, FockSpace(cfg.scan.dim), cfg.scan.dt)
         parameter = "r0"
     else:
-        report = truncation_scan(cfg.pulse, cfg.scan.dims, cfg.scan.dt)
+        report = truncation_scan(cfg.pulse, cfg.scan.values, cfg.scan.dt)
         parameter = "dim"
     records = [asdict(row) for row in report.rows]
     # the CSV names the parameter column after the scanned quantity

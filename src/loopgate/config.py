@@ -10,7 +10,7 @@ Sections:
     [space]   dim
     [run]     method, dt, n_steps
     [output]  path, format
-    [scan]    kind = rwa | truncation, r0_values / dims, dt, dim
+    [scan]    kind = rwa (r0_values, dt, dim) | truncation (dims, dt)
     [sweep]   max_points plus one "field = value list" entry per swept field
 
 Inline comments start with "#" only: ";" separates pulse segments, and "%" is
@@ -39,7 +39,6 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 FORMAT_CHOICES = ("csv", "json")
-SCAN_KINDS = ("rwa", "truncation")
 
 _SWEEPABLE = ("g0", "nu", "phase0", "r0", "T")
 _CIRCULAR_ONLY = ("g0", "nu", "phase0")
@@ -115,11 +114,19 @@ def parse_segments(text: str) -> list[tuple[float, complex]]:
     return segments
 
 
+# the one value list each scan kind reads: key, entry parser, exclusive floor, floor message
+_SCAN_LISTS = {
+    "rwa": ("r0_values", parse_real, 0, "must be positive"),
+    "truncation": ("dims", parse_int, 1, "must be >= 2"),
+}
+
+
 @dataclass
 class ScanConfig:
+    """One scan: the r0 values of an rwa scan or the dims of a truncation scan, in ``values``."""
+
     kind: str
-    r0_values: list[float] = field(default_factory=list)
-    dims: list[int] = field(default_factory=list)
+    values: list = field(default_factory=list)
     dt: float = 0.001
     dim: int = 16
 
@@ -289,37 +296,23 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
 
 
 def _build_scan(reader: _Reader) -> ScanConfig | None:
-    parser = reader.parser
-    if not parser.has_section("scan"):
+    if not reader.parser.has_section("scan"):
         return None
     kind = reader.get("scan", "kind", str.strip, required=True)
-    if kind is not None and not reader.check(
-        kind in SCAN_KINDS, "scan.kind", f"must be one of {SCAN_KINDS}"
-    ):
-        kind = None
-    scan = ScanConfig(kind=kind or "rwa")
-    scan.dt = reader.get("scan", "dt", parse_real, default=scan.dt)
-    scan.dim = reader.get("scan", "dim", parse_int, default=scan.dim)
-    scan.r0_values = reader.get("scan", "r0_values", list_of(parse_real), default=scan.r0_values)
-    scan.dims = reader.get("scan", "dims", list_of(parse_int), default=scan.dims)
+    dt = reader.get("scan", "dt", parse_real, default=ScanConfig.dt)
+    reader.check(dt > 0, "scan.dt", "must be > 0")
+    # the keys a scan accepts depend on its kind, so without one no key is flagged unknown
+    if kind is None or not reader.check(kind in _SCAN_LISTS, "scan.kind", f"must be one of {tuple(_SCAN_LISTS)}"):
+        return None
+    key, parse, floor, floor_message = _SCAN_LISTS[kind]
+    values = reader.get("scan", key, list_of(parse), default=[])
+    reader.check(bool(values), f"scan.{key}", f"required for a {kind} scan")
+    reader.check(all(b > a for a, b in zip(values, values[1:])), f"scan.{key}", "must be strictly ascending")
+    reader.check(all(v > floor for v in values), f"scan.{key}", floor_message)
+    scan = ScanConfig(kind=kind, values=values, dt=dt)
     if kind == "rwa":
-        reader.check(bool(scan.r0_values), "scan.r0_values", "required for an rwa scan")
-        reader.check(
-            all(b > a for a, b in zip(scan.r0_values, scan.r0_values[1:])),
-            "scan.r0_values",
-            "must be strictly ascending",
-        )
-        reader.check(all(v > 0 for v in scan.r0_values), "scan.r0_values", "must be positive")
-    elif kind == "truncation":
-        reader.check(bool(scan.dims), "scan.dims", "required for a truncation scan")
-        reader.check(
-            all(b > a for a, b in zip(scan.dims, scan.dims[1:])),
-            "scan.dims",
-            "must be strictly ascending",
-        )
-        reader.check(all(d >= 2 for d in scan.dims), "scan.dims", "must be >= 2")
-    reader.check(scan.dt is None or scan.dt > 0, "scan.dt", "must be > 0")
-    reader.check(scan.dim is None or scan.dim >= 2, "scan.dim", "must be >= 2")
+        scan.dim = reader.get("scan", "dim", parse_int, default=scan.dim)
+        reader.check(scan.dim >= 2, "scan.dim", "must be >= 2")
     reader.warn_unknown("scan")
     return scan
 
@@ -373,7 +366,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
         with open(path) as handle:
             parser.read_file(handle)
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
+        raise ConfigError(f"config: cannot read {path!r}: {exc.strerror or exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config: {exc}") from None
     for section, key, raw in overrides:

@@ -19,7 +19,7 @@ from .errors import InfeasibleConstraintError, NonUnitaryResultError, StepTooCoa
 from .evolve import propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
-from .phase import DEFAULT_PHASE_STEPS, solve_loop
+from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
 
 GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
 
@@ -74,23 +74,23 @@ def gate_matrix(
 ) -> GateReport:
     """Build the cycle's gate either from accumulated branch phases or numerically.
 
-    Every method first solves the ++ loop on 20 000 intervals: its |alpha(T)|
-    is the reported closure residual, and that solve is the gate's one closure
-    verdict: solve_loop refuses an open loop (gate phases are only defined for
-    cyclic evolutions) or an overflowing drive. The analytic method is the
-    ideal gate of the ++ total phase on n_steps intervals, solved without a
-    second closure check. The numeric methods propagate the full composite
-    system on the requested tier with step dt (T/4000 when None) from every
-    |branch> (x) |vacuum> state, project the final cavity state back on
-    vacuum, and report the measured 4x4 branch matrix, gauged so the middle
-    entries equal 1; the rotating tier raises StepTooCoarseError unless
-    dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only to the
-    numeric methods and n_steps only to the analytic one.
+    Every method first solves the ++ loop on CLOSURE_STEPS intervals: its
+    |alpha(T)| is the reported closure residual, and that solve is the gate's
+    one closure verdict: solve_loop refuses an open loop (gate phases are only
+    defined for cyclic evolutions) or an overflowing drive. The analytic
+    method is the ideal gate of the ++ total phase on n_steps intervals,
+    solved without a second closure check. The numeric methods propagate the
+    full composite system on the requested tier with step dt (T/4000 when
+    None) from every |branch> (x) |vacuum> state, project the final cavity
+    state back on vacuum, and report the measured 4x4 branch matrix, gauged so
+    the middle entries equal 1; the rotating tier raises StepTooCoarseError
+    unless dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only
+    to the numeric methods and n_steps only to the analytic one.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")
 
-    closure_residual = solve_loop(pulse, 20_000).closure_residual("++")
+    closure_residual = solve_loop(pulse, CLOSURE_STEPS).closure_residual("++")
 
     if method == "analytic":
         extracted = solve_loop(pulse, n_steps, require_closed=False).breakdown("++").gamma_total

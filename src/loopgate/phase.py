@@ -30,6 +30,9 @@ from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive
 
 DEFAULT_PHASE_STEPS = 100_000
 
+# the resolution of every gate's closure verdict, numeric scans included
+CLOSURE_STEPS = 20_000
+
 _CLOSURE_REL_TOL = 1e-6
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 from .errors import SimulationGuard, TruncationGuardError
 from .fock import FockSpace
-from .gate import GateReport, _numeric_gates, gate_fidelity, gate_matrix
+from .gate import _numeric_gates, gate_fidelity, ideal_gate
 from .model import PulseSpec
-from .phase import solve_loop
+from .phase import CLOSURE_STEPS, solve_loop
 
 _CONVERGENCE_THRESHOLD = 1e-8
 
@@ -56,11 +56,11 @@ def rwa_error_scan(
 ) -> ValidationReport:
     """Rotating-frame gate versus strong-driving gate across classical drive strengths.
 
-    Nothing is stepped before both gate preconditions hold: solve_loop first
-    refuses an open or overflowing loop, as gate_matrix would, and the
-    rotating-frame gates, stepped as one stack, come next, so the numeric gate
-    path refuses the scan with StepTooCoarseError unless dt * max(r0) < 0.1.
-    The strong-driving gate does not depend on r0 and is computed last, once.
+    One solve_loop on CLOSURE_STEPS intervals is the closure verdict of every
+    gate: it refuses an open or overflowing loop before anything is stepped.
+    The rotating-frame gates, one stack through the numeric gate path, come
+    next, so that path refuses the scan unless dt * max(r0) < 0.1; the
+    strong-driving gate does not depend on r0 and is stepped last, once.
     monotone_flag records whether infidelity never increases along the scan.
     """
     values = [float(v) for v in r0_values]
@@ -76,17 +76,17 @@ def rwa_error_scan(
             f"{len(values)} r0 values at dim {space.dim} need about {144 * size / 1e9:.3g} GB: "
             f"n_r0 * max(dim, 8)^2 = {size}, above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim"
         )
-    # the closure guard of every gate below, judged before anything is stepped
-    solve_loop(pulse, 20_000)
+    # the closure verdict of every gate below, judged before anything is stepped
+    solve_loop(pulse, CLOSURE_STEPS)
     # every r0 shares T and dt, so the rotating-frame gates are stepped as one stack
     gates, _ = _numeric_gates([replace(pulse, r0=r0) for r0 in values], space, "numeric_rotating", dt)
-    reference = gate_matrix(pulse, space, method="numeric_rwa", dt=dt)
+    [(reference, reference_gamma, _)], _ = _numeric_gates([pulse], space, "numeric_rwa", dt)
     rows = [
         ScanRow(
             parameter_value=r0,
-            infidelity=1.0 - gate_fidelity(matrix, reference.matrix),
+            infidelity=1.0 - gate_fidelity(matrix, reference),
             diagonality_residual=diagonality,
-            phase_error=_wrapped_phase_distance(gamma, reference.extracted_gamma),
+            phase_error=_wrapped_phase_distance(gamma, reference_gamma),
         )
         for r0, (matrix, gamma, diagonality) in zip(values, gates)
     ]
@@ -99,17 +99,18 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
 
     Row i reports |fidelity(dim_i) - fidelity(dim_{i-1})| in the infidelity
     column (0 for the first row) plus each gate's diagonality residual and
-    the phase drift from the previous dim. Every dim must hold the loop:
-    dim >= 4 * max|alpha|^2, with max|alpha| taken from the same 20 000-interval
-    solve_loop that judges each gate's closure. monotone_flag records whether
-    the final drift is below the convergence threshold.
+    the phase drift from the previous dim. One solve_loop on CLOSURE_STEPS
+    intervals is the closure verdict of every dim's RWA-tier gate, and its
+    max|alpha| sets the floor every dim must meet: dim >= 4 * max|alpha|^2.
+    monotone_flag records whether the final drift is below the convergence
+    threshold.
     """
     dims = [int(d) for d in dims]
     if not dims:
         raise ValueError("dims must be nonempty")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
-    excursion = solve_loop(pulse, 20_000).excursion
+    excursion = solve_loop(pulse, CLOSURE_STEPS).excursion
     # a float power raises OverflowError where a product gives inf
     floor = 4.0 * excursion * excursion
     if any(d < floor for d in dims):
@@ -117,23 +118,20 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
             f"every dim must be >= 4 * max|alpha|^2 = {floor:.3g}; got {dims}"
         )
     spaces = [FockSpace(d) for d in dims]
-    reports: list[GateReport] = [gate_matrix(pulse, space, method="numeric_rwa", dt=dt) for space in spaces]
-    rows = []
-    for i, (d, rep) in enumerate(zip(dims, reports)):
-        if i == 0:
-            drift, phase_drift = 0.0, 0.0
-        else:
-            drift = abs(rep.fidelity - reports[i - 1].fidelity)
-            phase_drift = _wrapped_phase_distance(
-                rep.extracted_gamma, reports[i - 1].extracted_gamma
-            )
-        rows.append(
-            ScanRow(
-                parameter_value=float(d),
-                infidelity=drift,
-                diagonality_residual=rep.diagonality_residual,
-                phase_error=phase_drift,
-            )
+    gates = []
+    for space in spaces:
+        [(matrix, gamma, diagonality)], _ = _numeric_gates([pulse], space, "numeric_rwa", dt)
+        # the fidelity gate_matrix reports: the overlap with the ideal gate of its own phase
+        gates.append((gate_fidelity(matrix, ideal_gate(gamma)), gamma, diagonality))
+    # the first dim is compared with itself, which gives exactly 0 for both drifts
+    rows = [
+        ScanRow(
+            parameter_value=float(d),
+            infidelity=abs(fidelity - previous[0]),
+            diagonality_residual=diagonality,
+            phase_error=_wrapped_phase_distance(gamma, previous[1]),
         )
+        for d, (fidelity, gamma, diagonality), previous in zip(dims, gates, [gates[0], *gates])
+    ]
     converged = len(rows) < 2 or rows[-1].infidelity < _CONVERGENCE_THRESHOLD
     return ValidationReport(rows=tuple(rows), monotone_flag=converged, kind="truncation")

@@ -31,6 +31,10 @@ n_steps = 65536
 """
 
 
+# a valid circular pulse followed by an open [scan] section
+SCAN_PULSE = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\n"
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -158,10 +162,16 @@ class TestConfigSyntax:
                 "[pulse]\nshape = piecewise\nsegments = 1.0 0\n\n[scan]\nkind = truncation\ndims = 1 8\n",
                 ["scan.dims: must be >= 2"],
             ),
+            # each scan kind reads only its own keys
+            (SCAN_PULSE + "kind = rwa\nr0_values = 1 2\ndims = 8 16\n", ["scan.dims: unknown key"]),
+            (SCAN_PULSE + "kind = truncation\ndims = 8 16\nr0_values = 1 2\n", ["scan.r0_values: unknown key"]),
+            (SCAN_PULSE + "kind = truncation\ndims = 8 16\ndim = 8\n", ["scan.dim: unknown key"]),
+            ("[space]\ndim = 8\n", ["pulse: section is required"]),
         ],
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
-            "sweep-shape-field", "sweep-values", "scan-dims-floor",
+            "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
+            "truncation-scan-dim", "no-pulse",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -294,6 +304,9 @@ class TestPhasesCommand:
         assert cli.main(["phases", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "pulse.nu" in err
+        missing = str(tmp_path / "missing.ini")
+        assert cli.main(["phases", "--config", missing]) == 1
+        assert capsys.readouterr().err == f"config error: config: cannot read {missing!r}: No such file or directory\n"
 
     def test_unknown_keys_flagged(self, tmp_path, capsys):
         cfg = write(tmp_path / "u.ini", CIRCULAR_CONFIG + "typo_key = 3\n")
@@ -525,22 +538,45 @@ class TestDesignCommand:
 
     def test_unparseable_target(self, capsys):
         assert cli.main(["design", "pie", "--g0", "0.1"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: target: 'pie' is not allowed; use numbers, pi, j, + - * / and parentheses\n"
+        )
 
     @pytest.mark.parametrize(
-        "flag,value,code,message",
+        "argv,code,messages",
         [
-            ("--T", "inf", 1, "config error: --T: invalid numeric expression 'inf'"),
-            ("--T", "nan", 1, "config error: --T: invalid numeric expression 'nan'"),
-            ("--T", "1e-320", 2, "error: T = 1e-320 gives nu = inf"),
-            ("--g0", "1e-320", 2, "error: g0 = 1e-320 gives T = inf"),
-            ("--loops", "1" + "0" * 400, 1, "config error: --loops: cannot parse"),
+            (["pi/2", "--T", "inf"], 1, ["config error: --T: invalid numeric expression 'inf'"]),
+            (["pi/2", "--T", "nan"], 1, ["config error: --T: invalid numeric expression 'nan'"]),
+            (["pi/2", "--T", "1e-320"], 2, ["error: T = 1e-320 gives nu = inf"]),
+            (["pi/2", "--g0", "1e-320"], 2, ["error: g0 = 1e-320 gives T = inf"]),
+            (["pi/2", "--loops", "1" + "0" * 400], 1, ["config error: --loops: cannot parse"]),
+            (
+                ["foo", "--g0", "bar"],
+                1,
+                ["config error: target: invalid numeric expression 'foo'", "config error: --g0: invalid numeric"],
+            ),
+            (
+                ["pi/2", "--g0", "bar", "--loops", "x"],
+                1,
+                ["config error: --g0: invalid numeric expression 'bar'", "config error: --loops: invalid numeric"],
+            ),
+            (
+                ["foo", "--g0", "bar", "--loops", "x"],
+                1,
+                ["config error: target: ", "config error: --g0: ", "config error: --loops: "],
+            ),
         ],
-        ids=["T-inf", "T-nan", "T-underflow", "g0-underflow", "loops-overflow"],
+        ids=[
+            "T-inf", "T-nan", "T-underflow", "g0-underflow", "loops-overflow", "target-and-g0", "g0-and-loops",
+            "target-g0-and-loops",
+        ],
     )
-    def test_bad_flag_is_reported_under_its_own_name(self, capsys, flag, value, code, message):
-        assert cli.main(["design", "pi/2", flag, value]) == code
+    def test_bad_flag_is_reported_under_its_own_name(self, capsys, argv, code, messages):
+        assert cli.main(["design", *argv]) == code
         captured = capsys.readouterr()
-        assert captured.err.startswith(message)
+        lines = captured.err.splitlines()
+        assert len(lines) == len(messages)
+        assert all(line.startswith(message) for line, message in zip(lines, messages))
         assert captured.out == ""
 
 
@@ -582,6 +618,7 @@ class TestValidateCommand:
     def test_missing_scan_section(self, tmp_path, capsys):
         cfg = write(tmp_path / "v.ini", CIRCULAR_CONFIG)
         assert cli.main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: scan: section is required for the validate command\n"
 
 
 class TestSweepCommand:
@@ -601,6 +638,10 @@ class TestSweepCommand:
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\nmax_points = 10\n")
         assert cli.main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: sweep: at least one swept field is required\n"
+        cfg = write(tmp_path / "n.ini", CIRCULAR_CONFIG)
+        assert cli.main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: sweep: section is required for the sweep command\n"
 
     def test_grid_limit(self, tmp_path, capsys):
         cfg = write(

@@ -96,6 +96,11 @@ class TestNumericPropagator:
         start = np.eye(32, 1, dtype=complex)
         with pytest.raises(NonUnitaryResultError):
             propagate_states(HamiltonianTier.RWA_EFFECTIVE, pulse, space, start, 0.0, 3.0, 3.0)
+        # a generator inside the up-front norm bound can still outrun the series
+        operators = np.diag([1.0, -1.0]).astype(complex)[None]
+        weights = np.full((1, 1, 1), 0.7 * evolve._STEP_NORM_LIMIT)
+        with pytest.raises(NonUnitaryResultError, match="step series failed to converge"):
+            evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((1, 2, 1), dtype=complex))
 
     def test_states_path_matches_full_unitary(self, standard_pulse):
         space = FockSpace(8)
@@ -384,6 +389,8 @@ class TestTrajectory:
         assert run[0] == 0 and alphas[0] == 0
         assert times[0] == 0.0
         assert times[-1] == standard_pulse.T
+        with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
+            sample_loop(standard_pulse, 1)
 
 
 class TestLoopClosure:

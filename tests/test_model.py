@@ -73,12 +73,16 @@ class TestPulseSpec:
         PulseSpec(g_shape=shape, T=1.5)
         with pytest.raises(ValueError):
             PulseSpec(g_shape=shape, T=1.6)
+        with pytest.raises(ValueError, match="PiecewiseConstant needs at least one segment"):
+            PiecewiseConstant(segments=())
 
     def test_sampled_duration(self):
         shape = Sampled(dt=0.5, values=(0.0, 0.1, 0.2))
         assert PulseSpec(g_shape=shape, T=1.0).T == 1.0
         with pytest.raises(ValueError):
             PulseSpec(g_shape=shape, T=1.5)
+        with pytest.raises(ValueError, match="Sampled needs at least two samples"):
+            Sampled(dt=0.5, values=(0.1,))
 
     def test_negative_r0_rejected(self):
         with pytest.raises(ValueError):

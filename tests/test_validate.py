@@ -18,7 +18,8 @@ from loopgate import (
     truncation_scan,
     validate,
 )
-from loopgate.validate import MAX_SCAN_SIZE
+from loopgate.phase import CLOSURE_STEPS, solve_loop
+from loopgate.validate import MAX_SCAN_SIZE, ScanRow
 
 
 @pytest.fixture
@@ -115,6 +116,8 @@ class TestTruncationScan:
     def test_rejects_unordered(self, short_pulse):
         with pytest.raises(ValueError):
             truncation_scan(short_pulse, [16, 8], dt=0.01)
+        with pytest.raises(ValueError, match="dims must be nonempty"):
+            truncation_scan(short_pulse, [], dt=0.01)
 
     def test_converges_for_small_loop(self, short_pulse):
         # max|alpha| = 0.2, so even dim 6 holds the loop comfortably
@@ -135,6 +138,42 @@ class TestTruncationScan:
         report = truncation_scan(short_pulse, [8], dt=0.01)
         assert len(report.rows) == 1
         assert report.monotone_flag is True
+
+    def test_rows_match_gate_matrix_reports(self, short_pulse):
+        dims, dt = [6, 8, 12], 0.01
+        report = truncation_scan(short_pulse, dims, dt=dt)
+        reports = [gate_matrix(short_pulse, FockSpace(d), method="numeric_rwa", dt=dt) for d in dims]
+        expected = [ScanRow(6.0, 0.0, reports[0].diagonality_residual, 0.0)] + [
+            ScanRow(
+                float(d),
+                abs(rep.fidelity - prev.fidelity),
+                rep.diagonality_residual,
+                abs(math.remainder(rep.extracted_gamma - prev.extracted_gamma, 2 * math.pi)),
+            )
+            for d, rep, prev in zip(dims[1:], reports[1:], reports)
+        ]
+        assert report.rows == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda pulse: rwa_error_scan(pulse, [2.0, 4.0], FockSpace(4), dt=0.01),
+        lambda pulse: truncation_scan(pulse, [6, 8, 12], dt=0.01),
+    ],
+    ids=["rwa", "truncation"],
+)
+def test_each_scan_solves_the_loop_once(short_pulse, monkeypatch, scan):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_loop(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "solve_loop", counted)
+    monkeypatch.setattr(gate, "solve_loop", counted)
+    scan(short_pulse)
+    assert calls == [(short_pulse, CLOSURE_STEPS)]
 
 
 def test_report_serialization_round_trip(short_pulse):
