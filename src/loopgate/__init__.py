@@ -8,40 +8,41 @@ numerically, solves each drive cycle's loop once for the geometric and
 dynamical phases of every branch, and grades the resulting gate.
 """
 
-from .errors import (
-    ConfigError,
-    InfeasibleConstraintError,
-    NonUnitaryResultError,
-    OpenLoopError,
-    SimulationGuard,
-    StepTooCoarseError,
-    TrivialTargetWarning,
-    TruncationGuardError,
-)
-from .evolve import NumericPropagation, propagate_numeric
-from .fock import FockSpace, annihilation, creation, vacuum
-from .gate import (
-    GateReport,
-    design_circular_pulse,
-    entangling_check,
-    gate_fidelity,
-    gate_matrix,
-    ideal_gate,
-    nontriviality,
-)
-from .model import (
-    BRANCHES,
-    Circular,
-    HamiltonianTier,
-    PiecewiseConstant,
-    PulseSpec,
-    RamanParams,
-    Sampled,
-    branch_lambda,
-    effective_couplings,
-    sigma_x_basis_change,
-)
-from .phase import LoopSolution, PhaseBreakdown, solve_loop
-from .validate import ScanRow, ValidationReport, rwa_error_scan, truncation_scan
+import importlib
 
 __version__ = "0.1.0"
+
+# each module's public names; a module loads on first use of one of them, so a
+# command that computes nothing never imports numpy
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "InfeasibleConstraintError", "NonUnitaryResultError", "OpenLoopError", "SimulationGuard",
+        "StepTooCoarseError", "TrivialTargetWarning", "TruncationGuardError",
+    ),
+    "design": ("nontriviality",),
+    "evolve": ("NumericPropagation", "propagate_numeric"),
+    "fock": ("FockSpace", "annihilation", "creation", "vacuum"),
+    "gate": ("GateReport", "design_circular_pulse", "entangling_check", "gate_fidelity", "gate_matrix", "ideal_gate"),
+    "model": (
+        "BRANCHES", "Circular", "HamiltonianTier", "PiecewiseConstant", "PulseSpec", "RamanParams", "Sampled",
+        "branch_lambda", "effective_couplings", "sigma_x_basis_change",
+    ),
+    "phase": ("LoopSolution", "PhaseBreakdown", "solve_loop"),
+    "validate": ("ScanRow", "ValidationReport", "rwa_error_scan", "truncation_scan"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = (*_EXPORTS, "cli", "config")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *_HOME})

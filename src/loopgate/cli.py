@@ -9,6 +9,9 @@ entry each and are checked by load_config like the file's own entries.
 
 Exit codes: 0 success, 1 configuration error (usage errors and unwritable
 outputs included), 2 physics/precondition guard, 3 validation regression.
+
+Each command imports the engine it runs, so ``design`` and a usage error load
+no numpy. The ``loopgate`` command defaults OPENBLAS_NUM_THREADS to 1.
 """
 
 import argparse
@@ -22,11 +25,6 @@ from dataclasses import asdict
 
 from .config import RunConfig, _sweep_pulse, load_config, parse_int, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
-from .fock import FockSpace
-from .gate import design_circular_pulse, gate_matrix
-from .model import BRANCHES
-from .phase import solve_loop
-from .validate import rwa_error_scan, truncation_scan
 
 OUT_DIR_ENV = "LOOPGATE_OUT_DIR"
 
@@ -93,6 +91,9 @@ def _emit_rows(cfg: RunConfig, rows: list[dict], payload: dict | None = None) ->
 
 
 def cmd_phases(args) -> int:
+    from .model import BRANCHES
+    from .phase import solve_loop
+
     cfg = load_config(args.config, args.overrides)
     solution = solve_loop(cfg.pulse, cfg.n_steps, require_closed=not args.allow_open)
     rows = []
@@ -117,6 +118,9 @@ def cmd_phases(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    from .fock import FockSpace
+    from .gate import gate_matrix
+
     cfg = load_config(args.config, args.overrides)
     report = gate_matrix(cfg.pulse, FockSpace(cfg.dim), method=cfg.method, dt=cfg.dt, n_steps=cfg.n_steps)
     summary = {
@@ -136,22 +140,9 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def _pulse_config_text(pulse, loops: int) -> str:
-    shape = pulse.g_shape
-    lines = [
-        "[pulse]",
-        "shape = circular",
-        f"g0 = {shape.g0!r}",
-        f"nu = {shape.nu!r}",
-        f"phase0 = {shape.phase0!r}",
-        f"r0 = {pulse.r0!r}",
-        f"T = {pulse.T!r}",
-        f"loops = {loops}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_design(args) -> int:
+    from .design import design_circle
+
     kwargs, errors = {}, []
     # every argument is parsed, so each bad one is reported under its own name
     for label, parse in (("target", parse_real), ("--g0", parse_real), ("--T", parse_real), ("--loops", parse_int)):
@@ -167,14 +158,20 @@ def cmd_design(args) -> int:
     target = kwargs.pop("target")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TrivialTargetWarning)
-        pulse = design_circular_pulse(target, **kwargs)
+        g0, nu, T = design_circle(target, **kwargs)
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
-    _emit(args.out, _pulse_config_text(pulse, kwargs.get("loops", 1)))
+    # the pulse section of gate.design_circular_pulse's drive: phase0 = 0 and r0 = 0
+    lines = ["[pulse]", "shape = circular", f"g0 = {g0!r}", f"nu = {nu!r}", "phase0 = 0.0", "r0 = 0.0"]
+    lines += [f"T = {T!r}", f"loops = {kwargs.get('loops', 1)}"]
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
+    from .fock import FockSpace
+    from .validate import rwa_error_scan, truncation_scan
+
     cfg = load_config(args.config, args.overrides)
     if cfg.scan is None:
         raise ConfigError("scan: section is required for the validate command")
@@ -195,6 +192,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .phase import solve_loop
+
     cfg = load_config(args.config, args.overrides)
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
@@ -309,6 +308,9 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    # OpenBLAS starts its thread pool when numpy loads; a second thread adds CPU
+    # time and no speed to these commands. A value the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -18,6 +18,8 @@ literal text. Every violated precondition is reported with its section.key
 path, all at once, before any computation starts.
 """
 
+from __future__ import annotations
+
 import ast
 import cmath
 import configparser
@@ -26,11 +28,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
+from .design import DEFAULT_PHASE_STEPS, GATE_METHODS
 from .errors import ConfigError
-from .gate import GATE_METHODS
-from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled, effective_couplings
-from .phase import DEFAULT_PHASE_STEPS
+
+if TYPE_CHECKING:
+    from .model import PulseSpec
 
 _ALLOWED_EXPR = re.compile(r"^[0-9pij+\-*/().eE\s]+$")
 _BARE_PI = re.compile(r"(?<=[0-9.)])pi")
@@ -194,6 +198,8 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
     if not parser.has_section("pulse"):
         reader.errors.append("pulse: section is required")
         return None
+    # the drive classes load numpy, so only a config that builds a pulse pays for it
+    from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled, effective_couplings
 
     raman = None
     if parser.has_section("raman"):
@@ -332,6 +338,8 @@ def _build_sweep(reader: _Reader, pulse: PulseSpec | None) -> SweepConfig | None
     parser = reader.parser
     if not parser.has_section("sweep"):
         return None
+    from .model import Circular
+
     max_points = reader.get("sweep", "max_points", parse_int, default=SweepConfig.max_points)
     fields: dict[str, list[float]] = {}
     for key in parser.options("sweep"):

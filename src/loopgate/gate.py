@@ -9,21 +9,16 @@ exactly 1. The gate entangles product states iff gamma is not a multiple of
 """
 
 import cmath
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, NonUnitaryResultError, StepTooCoarseError, TrivialTargetWarning
+from .design import GATE_METHODS, design_circle, nontriviality
+from .errors import NonUnitaryResultError, StepTooCoarseError
 from .evolve import propagate_states
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
 from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
-
-GATE_METHODS = ("analytic", "numeric_rwa", "numeric_rotating")
-
-_NONTRIVIALITY_TOL = 1e-6
 
 # minimum vacuum-return amplitude for a trustworthy phase readout
 _VACUUM_RETURN_MIN = 0.99
@@ -57,12 +52,6 @@ def ideal_gate(gamma: float) -> np.ndarray:
 def gate_fidelity(matrix: np.ndarray, reference: np.ndarray) -> float:
     """Normalized trace overlap |tr(ref^dag matrix)| / 4, global-phase insensitive."""
     return float(abs(np.trace(reference.conj().T @ matrix)) / 4.0)
-
-
-def nontriviality(gamma: float) -> bool:
-    """True iff gamma sits further than 1e-6 from every multiple of 2*pi."""
-    wrapped = math.remainder(gamma, 2 * math.pi)
-    return abs(wrapped) > _NONTRIVIALITY_TOL
 
 
 def gate_matrix(
@@ -149,41 +138,8 @@ def design_circular_pulse(
     T: float | None = None,
     loops: int = 1,
 ) -> PulseSpec:
-    """Solve loops * 2*pi * g0^2 / nu^2 = target_gamma for a circular drive.
-
-    Exactly one of g0 or T fixes the remaining freedom. Targets that are
-    multiples of 2*pi are solvable but produce an identity gate; a
-    TrivialTargetWarning is emitted for those.
-    """
-    if target_gamma <= 0 or not math.isfinite(target_gamma):
-        raise InfeasibleConstraintError(f"target phase must be positive, got {target_gamma}")
-    if loops < 1 or int(loops) != loops:
-        raise InfeasibleConstraintError(f"loops must be a positive integer, got {loops}")
-    loops = int(loops)
-    if (g0 is None) == (T is None):
-        raise InfeasibleConstraintError("exactly one of g0 or T must be fixed")
-    if g0 is not None:
-        if not (0 < g0 < math.inf):
-            raise InfeasibleConstraintError(f"g0 must be finite and > 0, got {g0}")
-        given = f"g0 = {g0}"
-        nu = g0 * math.sqrt(2 * math.pi * loops / target_gamma)
-        T = loops * 2 * math.pi / nu if nu > 0 else math.inf
-    else:
-        if not (0 < T < math.inf):
-            raise InfeasibleConstraintError(f"T must be finite and > 0, got {T}")
-        given = f"T = {T}"
-        nu = loops * 2 * math.pi / T
-        g0 = nu * math.sqrt(target_gamma / (2 * math.pi * loops))
-    # extreme inputs can overflow or underflow the derived values
-    for name, value in (("nu", nu), ("T", T), ("g0", g0)):
-        if not (0 < value < math.inf):
-            raise InfeasibleConstraintError(f"{given} gives {name} = {value}; it must be finite and > 0")
-    if not nontriviality(target_gamma):
-        warnings.warn(
-            f"target phase {target_gamma:.6g} is a multiple of 2*pi; the gate will be trivial",
-            TrivialTargetWarning,
-            stacklevel=2,
-        )
+    """The circular drive :func:`loopgate.design.design_circle` solves for, with phase0 = 0 and r0 = 0."""
+    g0, nu, T = design_circle(target_gamma, g0, T, loops)
     return PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=0.0), T=T)
 
 

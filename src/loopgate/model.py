@@ -240,16 +240,17 @@ class PulseSpec:
         return self.g_shape.g(t)
 
 
-def cumulative_drive_integral(pulse: PulseSpec, times: np.ndarray) -> np.ndarray:
+def cumulative_drive_integral(pulse: PulseSpec, times: np.ndarray, values=None) -> np.ndarray:
     """Integral of g from 0 to each grid time.
 
     Exact per-segment sums for piecewise-constant shapes; cumulative
-    trapezoid on the given grid otherwise.
+    trapezoid on the given grid otherwise, over ``values`` when the caller
+    already holds the drive samples g(times).
     """
     times = np.asarray(times, dtype=float)
     if isinstance(pulse.g_shape, PiecewiseConstant):
         return pulse.g_shape.cumulative_integral(times)
-    vals = np.asarray(pulse.g(times))
+    vals = np.asarray(pulse.g(times) if values is None else values)
     out = np.empty(len(times), dtype=complex)
     out[0] = 0.0
     out[1:] = np.cumsum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0)

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import DEFAULT_PHASE_STEPS
 from .errors import OpenLoopError, SimulationGuard
 from .evolve import MAX_SAMPLES
 from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
-
-DEFAULT_PHASE_STEPS = 100_000
 
 # the resolution of every gate's closure verdict, numeric scans included
 CLOSURE_STEPS = 20_000
@@ -41,6 +40,16 @@ def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarra
 
     The ++ loop is alpha = -i conj(I); both start at 0.
     """
+    times, _, run, alphas = _sample_drive(pulse, n_samples)
+    return times, run, alphas
+
+
+def _sample_drive(pulse: PulseSpec, n_samples: int):
+    """:func:`sample_loop`'s grid, I and ++ loop, with the drive samples g(t) that I integrates.
+
+    The drive is evaluated once; piecewise drives integrate exactly by
+    segments and sample no g, so theirs come back None.
+    """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if n_samples > MAX_SAMPLES:
@@ -51,9 +60,10 @@ def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarra
     # a drive too strong for double precision overflows to inf or nan here; the
     # closure and finiteness guards downstream turn that into a SimulationGuard
     with np.errstate(over="ignore", invalid="ignore"):
-        run = cumulative_drive_integral(pulse, times)
+        g_vals = None if isinstance(pulse.g_shape, PiecewiseConstant) else np.asarray(pulse.g(times))
+        run = cumulative_drive_integral(pulse, times, g_vals)
         alphas = -0.5j * branch_lambda("++") * np.conjugate(run)
-    return times, run, alphas
+    return times, g_vals, run, alphas
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
     are meaningless for open paths. Raises SimulationGuard when the loop sum or
     the G integral is not finite: the drive is too strong for double precision.
     """
-    times, run, alphas = sample_loop(pulse, n_steps + 1)
+    times, g_vals, run, alphas = _sample_drive(pulse, n_steps + 1)
     excursion = float(np.abs(alphas).max())
     tol = _CLOSURE_REL_TOL * max(1.0, excursion)
     residual = float(abs(alphas[-1]))
@@ -141,10 +151,9 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
             durations = np.array([d for d, _ in shape.segments])
             values = np.array([g for _, g in shape.segments])
             prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(values * durations)))[:-1]
-            g_vals = values * prefix.conjugate() - values.conjugate() * prefix
-            drive_integral = complex(np.sum(g_vals * durations))
+            integrand = values * prefix.conjugate() - values.conjugate() * prefix
+            drive_integral = complex(np.sum(integrand * durations))
         else:
-            g_vals = np.asarray(pulse.g(times))
             integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
             drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loopgate
-from loopgate import cli
+from loopgate import cli, phase, validate
 from loopgate.config import load_config, parse_scalar
 from loopgate.errors import ConfigError
 from loopgate.evolve import MAX_SAMPLES
@@ -607,7 +607,7 @@ class TestValidateCommand:
             monotone_flag=False,
             kind="rwa",
         )
-        monkeypatch.setattr(cli, "rwa_error_scan", lambda *a, **k: fake)
+        monkeypatch.setattr(validate, "rwa_error_scan", lambda *a, **k: fake)
         cfg = write(
             tmp_path / "v.ini",
             "[pulse]\nshape = circular\ng0 = 0.1\nnu = 1.0\nloops = 1\n\n"
@@ -654,7 +654,7 @@ class TestSweepCommand:
         def solved(*args, **kwargs):
             raise AssertionError("a grid point was solved")
 
-        monkeypatch.setattr(cli, "solve_loop", solved)
+        monkeypatch.setattr(phase, "solve_loop", solved)
         cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\ng0 = 0.1 -0.1\nr0 = 0 -1\n")
         assert cli.main(["sweep", "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -799,8 +799,8 @@ GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "cli_golden.json").read_tex
 @pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS))
 def test_outputs_byte_identical_to_recorded(tmp_path, capsys, monkeypatch, key):
     command, drive, fmt = key.split("-")
-    monkeypatch.setattr(cli, "rwa_error_scan", lambda *a, **k: FIXED_REPORTS["rwa"])
-    monkeypatch.setattr(cli, "truncation_scan", lambda *a, **k: FIXED_REPORTS["truncation"])
+    monkeypatch.setattr(validate, "rwa_error_scan", lambda *a, **k: FIXED_REPORTS["rwa"])
+    monkeypatch.setattr(validate, "truncation_scan", lambda *a, **k: FIXED_REPORTS["truncation"])
     cfg = write(tmp_path / "g.ini", GOLDEN_CONFIGS[drive])
     assert cli.main([command, "--config", cfg, "--format", fmt]) == 0
     assert capsys.readouterr().out == GOLDEN_OUTPUTS[key]
@@ -897,10 +897,128 @@ def test_fuzzed_numeric_configs_end_in_a_documented_exit_code(tmp_path, monkeypa
     capsys.readouterr()
 
 
-def test_import_loads_no_scipy():
-    # scipy brings its own BLAS thread pool and most of the start-up time
+def run_child(args, **env):
+    """A fresh interpreter on this source tree; an env entry set to None is removed."""
     src = os.path.dirname(os.path.dirname(loopgate.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, loopgate, loopgate.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for key, value in env.items():
+        if value is None:
+            child_env.pop(key, None)
+        else:
+            child_env[key] = value
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy():
+    # scipy brings its own BLAS thread pool and most of the start-up time; the
+    # package exports load lazily, so importing it and the CLI loads no numpy either
+    code = "import sys, loopgate, loopgate.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    result = run_child(["-c", code])
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def imported_modules(importtime_stderr):
+    """Top-level module names in -X importtime output."""
+    lines = [line for line in importtime_stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip().split(".")[0] for line in lines[1:]}
+
+
+DESIGN_PI_2 = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nphase0 = 0.0\nr0 = 0.0\nT = 31.41592653589793\nloops = 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["design", "pi/2", "--g0", "0.1"], 0, DESIGN_PI_2, ""),
+        (
+            ["phases"],
+            1,
+            "",
+            "usage: loopgate phases [-h] --config CONFIG [--out OUT] [--format FORMAT]\n"
+            "                       [--steps STEPS] [--allow-open]\n"
+            "config error: the following arguments are required: --config\n",
+        ),
+    ],
+    ids=["design", "usage-error"],
+)
+def test_commands_that_compute_nothing_load_no_numpy(argv, code, out, err):
+    result = run_child(["-X", "importtime", "-m", "loopgate.cli", *argv], COLUMNS="80")
+    assert (result.returncode, result.stdout) == (code, out)
+    messages = [line for line in result.stderr.splitlines() if not line.startswith("import time:")]
+    assert messages == err.splitlines()
+    modules = imported_modules(result.stderr)
+    assert "loopgate" in modules
+    assert "numpy" not in modules
+
+
+# the names the package exported before its exports became lazy
+PUBLIC_NAMES = (
+    "BRANCHES", "Circular", "ConfigError", "FockSpace", "GateReport", "HamiltonianTier", "InfeasibleConstraintError",
+    "LoopSolution", "NonUnitaryResultError", "NumericPropagation", "OpenLoopError", "PhaseBreakdown",
+    "PiecewiseConstant", "PulseSpec", "RamanParams", "Sampled", "ScanRow", "SimulationGuard", "StepTooCoarseError",
+    "TrivialTargetWarning", "TruncationGuardError", "ValidationReport", "annihilation", "branch_lambda", "creation",
+    "design_circular_pulse", "effective_couplings", "entangling_check", "gate_fidelity", "gate_matrix",
+    "ideal_gate", "nontriviality", "propagate_numeric", "rwa_error_scan", "sigma_x_basis_change", "solve_loop",
+    "truncation_scan", "vacuum",
+)
+
+
+def test_every_public_name_still_imports():
+    namespace = {}
+    exec(f"from loopgate import {', '.join(PUBLIC_NAMES)}", namespace)
+    assert all(name in namespace for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(loopgate.__all__) <= set(dir(loopgate))
+
+
+def test_modules_resolve_as_attributes_after_a_bare_import():
+    names = ("model", "evolve", "fock", "gate", "phase", "validate")
+    code = f"import loopgate; print([getattr(loopgate, name).__name__ for name in {names!r}])"
+    result = run_child(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str([f"loopgate.{name}" for name in names])
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        loopgate.no_such_name
+    assert not hasattr(loopgate, "no_such_name")
+
+
+# runs loopgate.cli as -m does and reports, at exit, the thread variable and the thread count
+REPORT_THREADS = """\
+import atexit, os, runpy, sys
+
+def report():
+    status = open("/proc/self/status").read() if os.path.exists("/proc/self/status") else "Threads: ?"
+    threads = next(line.split()[1] for line in status.splitlines() if line.startswith("Threads:"))
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, threads, file=sys.stderr)
+
+atexit.register(report)
+sys.argv[1:] = ["phases", "--config", sys.argv[1]]
+runpy.run_module("loopgate.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("user_value,seen", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+def test_cli_defaults_one_blas_thread(tmp_path, user_value, seen):
+    cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG)
+    result = run_child(["-c", REPORT_THREADS, cfg], OPENBLAS_NUM_THREADS=user_value)
+    assert result.returncode == 0, result.stderr
+    value, numpy_loaded, threads = result.stderr.split()
+    assert (value, numpy_loaded) == (seen, "True")
+    if user_value is None and sys.platform.startswith("linux"):
+        assert threads == "1"
+
+
+def test_library_use_leaves_the_environment_alone():
+    # neither the import, a library solve nor an in-process CLI command sets a thread variable
+    code = (
+        "import math, os, loopgate; before = dict(os.environ); "
+        "loopgate.solve_loop(loopgate.PulseSpec(loopgate.Circular(0.1, 0.2), T=10 * math.pi), 1000); "
+        "from loopgate import cli; cli.main(['design', 'pi/2', '--g0', '0.1']); "
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    result = run_child(["-c", code], OPENBLAS_NUM_THREADS=None)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True False"

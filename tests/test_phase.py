@@ -374,3 +374,23 @@ class TestOnePassMatchesTwoPasses:
         else:
             with pytest.raises(OpenLoopError):
                 solution.area("++")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Circular(g0=0.1, nu=0.2), Sampled(dt=0.5, values=(0.1, 0.1j, -0.1, -0.1j, 0.1))],
+    ids=["circular", "sampled"],
+)
+def test_one_drive_sample_per_solve(monkeypatch, shape):
+    # the running integral and the G integrand share one evaluation of g on the grid
+    calls = []
+    evaluate = type(shape).g
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(type(shape), "g", counted)
+    T = shape.natural_duration() or 2 * math.pi / shape.nu
+    solve_loop(PulseSpec(g_shape=shape, T=T), 1000)
+    assert calls == [(1001,)]
