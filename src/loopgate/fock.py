@@ -13,8 +13,9 @@ from .errors import SimulationGuard
 
 # largest Fock dimension: the rotating and full tiers build dense (3 dim)^2 operators;
 # measured peak RSS (numpy 2.4, x86-64 Linux) of a numeric_rotating gate grows by about
-# 1.0 kB per dim^2, to 0.29 GB at the limit, and the full rotating-tier propagator of
-# (4 dim)^2 identity columns peaks at 0.57 GB there, so either stays under 1 GB
+# 1.0 kB per dim^2, to 0.29 GB at the limit, and one step of the full rotating-tier
+# propagator, which steps the (3 dim)^2 triplet identity, peaks at 0.41 GB there, so
+# either stays under 1 GB
 MAX_DIM = 512
 
 

@@ -23,7 +23,7 @@ from loopgate import (
 )
 from loopgate import evolve, gate
 from loopgate.evolve import StatePropagation, propagate_states
-from loopgate.model import hamiltonian_operators, hamiltonian_weights
+from loopgate.model import hamiltonian_operators, hamiltonian_weights, triplet_rows
 from loopgate.phase import sample_loop
 from conftest import hamiltonian, random_closed_piecewise
 
@@ -49,10 +49,18 @@ class TestNumericPropagator:
         exact = expm(-2j * hamiltonian(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 1.0))
         assert np.abs(prop.unitary - exact).max() < 1e-10
 
-    def test_result_unitary(self, standard_pulse):
+    @pytest.mark.parametrize(
+        "tier, stepped_rows",
+        [
+            (HamiltonianTier.ROTATING_FRAME, triplet_rows()),
+            (HamiltonianTier.RWA_EFFECTIVE, sigma_x_basis_change()[:, :1]),
+        ],
+        ids=["rotating", "rwa"],
+    )
+    def test_result_unitary(self, tier, stepped_rows, standard_pulse):
         space = FockSpace(8)
         prop = propagate_numeric(
-            HamiltonianTier.ROTATING_FRAME,
+            tier,
             PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.0),
             space,
             0.0,
@@ -61,7 +69,12 @@ class TestNumericPropagator:
         )
         defect = np.abs(prop.unitary.conj().T @ prop.unitary - np.eye(32)).max()
         assert defect < 1e-10
-        assert prop.unitarity_defect == defect
+        # every row outside the stepped block (the triplet rows, or the ++ rows on the
+        # RWA tier) is exactly the identity, so the reported defect is that block's
+        basis = np.kron(stepped_rows, np.eye(space.dim))
+        block = basis.conj().T @ prop.unitary @ basis
+        block_defect = np.abs(block.conj().T @ block - np.eye(len(block))).max()
+        assert prop.unitarity_defect == pytest.approx(block_defect, abs=1e-15)
         assert 1 <= prop.max_order < evolve.SERIES_TERMS
 
     def test_second_order_convergence(self):
@@ -102,16 +115,16 @@ class TestNumericPropagator:
         with pytest.raises(NonUnitaryResultError, match="step series failed to converge"):
             evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((1, 2, 1), dtype=complex))
 
-    def test_states_path_matches_full_unitary(self, standard_pulse):
+    @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
+    def test_states_path_matches_full_unitary(self, tier, standard_pulse):
+        # the two functions step different blocks: the identity of the moving rows, and the columns
         space = FockSpace(8)
-        dt = standard_pulse.T / 200
-        prop = propagate_numeric(
-            HamiltonianTier.RWA_EFFECTIVE, standard_pulse, space, 0.0, standard_pulse.T, dt
-        )
+        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.0)
+        dt = pulse.T / 200
+        prop = propagate_numeric(tier, pulse, space, 0.0, pulse.T, dt)
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-        final = propagate_states(
-            HamiltonianTier.RWA_EFFECTIVE, standard_pulse, space, columns, 0.0, standard_pulse.T, dt
-        ).states
+        columns = np.hstack([columns, random_columns(np.random.default_rng(2), 4 * space.dim, 2)])
+        final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, dt).states
         assert np.abs(final - prop.unitary @ columns).max() < 1e-12
 
     def test_rwa_middle_branches_come_back_unchanged(self, standard_pulse):
@@ -189,7 +202,9 @@ class TestEngineMatchesEighOracle:
         assert np.abs(prop.unitary - eigh_product(tier, pulse, space, pulse.T / n_steps)).max() < 1e-10
 
 
-SYMMETRIC_TIERS = st.sampled_from([HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE])
+ALL_TIERS = st.sampled_from(
+    [HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE, HamiltonianTier.RWA_EFFECTIVE]
+)
 
 
 def dense_states(tier, pulse, space, states, t1, dt):
@@ -206,7 +221,11 @@ def random_columns(rng, rows, count):
 
 
 class TestExchangeSymmetry:
-    """The rotating and full tiers step only the triplet rows; the singlet never moves."""
+    """Only the moving rows are stepped, against the dense (4 dim)^2 table.
+
+    The rotating and full tiers step the triplet rows, and the singlet never
+    moves; the RWA tier steps the ++ rows, and the -- rows as their parity mirror.
+    """
 
     @pytest.mark.parametrize("tier", [HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE])
     def test_singlet_comes_back_bit_for_bit(self, tier, standard_pulse):
@@ -219,7 +238,7 @@ class TestExchangeSymmetry:
 
     @settings(max_examples=10, deadline=None)
     @given(
-        SYMMETRIC_TIERS,
+        ALL_TIERS,
         st.floats(0.02, 0.4),
         st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.05),
         st.floats(0.0, 2 * math.pi),
@@ -237,7 +256,7 @@ class TestExchangeSymmetry:
 
     @settings(max_examples=10, deadline=None)
     @given(
-        SYMMETRIC_TIERS,
+        ALL_TIERS,
         st.integers(0, 2**32 - 1),
         st.floats(0.0, 4.0),
         st.integers(2, 6),
@@ -289,6 +308,11 @@ class TestFrameChange:
         assert wrong_sign > 0.1
 
 
+def nan_step_blocks(operators, norms, weights, h, blocks):
+    """A stand-in for ``_step_blocks`` whose every stepped entry is nan."""
+    return np.full(np.shape(blocks), np.nan + 0j), 1
+
+
 class TestGuards:
     @pytest.mark.filterwarnings("error")
     def test_nan_drive_samples_stop_before_the_first_step(self, standard_pulse, monkeypatch):
@@ -311,18 +335,14 @@ class TestGuards:
             propagate_states(HamiltonianTier.ROTATING_FRAME, [standard_pulse] * 3, *args)
 
     def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
-        def nan_steps(operators, norms, weights, h, blocks):
-            return np.full(np.shape(blocks), np.nan + 0j), 1
-
-        monkeypatch.setattr(evolve, "_step_blocks", nan_steps)
+        monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
         with pytest.raises(NonUnitaryResultError, match="drifted"):
             propagate_states(
                 HamiltonianTier.ROTATING_FRAME, standard_pulse, FockSpace(4), np.eye(16, 1), 0.0, 1.0, 0.1
             )
 
     def test_nan_propagator_trips_the_unitarity_guard(self, standard_pulse, monkeypatch):
-        nan_states = StatePropagation(np.full((16, 16), np.nan + 0j), 10, 1, 0.0)
-        monkeypatch.setattr(evolve, "propagate_states", lambda *args: nan_states)
+        monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
         with pytest.raises(NonUnitaryResultError, match="unitarity defect"):
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
 
