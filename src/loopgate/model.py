@@ -307,6 +307,27 @@ def _tier_terms(tier: HamiltonianTier):
     raise ValueError(f"unknown tier {tier!r}")
 
 
+# J, the number of + atoms on each triplet row: |++>, (|+-> + |-+>)/sqrt(2), |-->
+_PLUS_COUNT = np.array([2.0, 1.0, 0.0])
+
+
+def rest_frame(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace) -> np.ndarray | None:
+    """The diagonal D on the triplet rows in which the pulse's generator stands still, or None.
+
+    A circular drive turns every Fock factor a of :func:`_tier_terms` at e^{-i nu t},
+    and the rotating tier's fast phase turns its sigma^+- pieces (|+><-| raises J by
+    one) at e^{+-2 i r0 t}, while sigma_x and the identity keep J. So with
+    D = nu n + 2 r0 J on the rotating tier and D = nu n on the RWA and full tiers,
+    H(t + s) = e^{i s D} H(t) e^{-i s D}. No other drive shape has such a frame.
+    """
+    if not isinstance(pulse.g_shape, Circular):
+        return None
+    fast = 2.0 * pulse.r0 if tier is HamiltonianTier.ROTATING_FRAME else 0.0
+    # a rate past double precision comes out inf or nan, which the stepper refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (fast * _PLUS_COUNT[:, None] + pulse.g_shape.nu * np.arange(space.dim)).ravel()
+
+
 def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.ndarray:
     """Weights of the tier's operators at each time, shape (len(times), 2 * terms).
 

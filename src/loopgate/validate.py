@@ -24,8 +24,10 @@ _CONVERGENCE_THRESHOLD = 1e-8
 # largest n_r0 * dim^2 of an rwa scan, whose rotating-tier gates step one
 # (n_r0, 3 dim, 3 dim) complex generator of 144 bytes per dim^2 and r0 value;
 # below dim 8 the other per-r0 costs (about 2.5 kB) dominate, so dim counts as 8
-# there. Measured peak RSS at the limit (numpy 2.4, x86-64 Linux): 0.51 GB for
-# 7 r0 values at dim 512, 0.87 GB for 31 250 at dim 8 with MAX_SAMPLES steps in all
+# there. A run through step matrices builds them one r0 value at a time. Measured
+# peak RSS at the limit (numpy 2.4, x86-64 Linux, one BLAS thread): for 7 r0 values
+# at dim 512, 0.50 GB stepping the columns (20 steps) and 0.61 GB through step
+# matrices (400 steps, 66 s); 0.82 GB for 31 250 at dim 8 with MAX_SAMPLES steps in all
 MAX_SCAN_SIZE = 2_000_000
 
 

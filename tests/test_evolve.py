@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -15,6 +15,7 @@ from loopgate import (
     PiecewiseConstant,
     PulseSpec,
     propagate_numeric,
+    Sampled,
     SimulationGuard,
     gate_matrix,
     sigma_x_basis_change,
@@ -101,19 +102,21 @@ class TestNumericPropagator:
                 HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, float("nan")
             )
 
-    def test_states_path_diverging_step_is_caught(self):
-        from loopgate import NonUnitaryResultError
-
+    def test_coarse_steps_are_substepped(self):
+        # one step of generator norm bound 79, far past the series' reach, is split
+        # into equal substeps and matches the exact exponential of its generator
         pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 5.0),)), T=3.0)
         space = FockSpace(8)
         start = np.eye(32, 1, dtype=complex)
-        with pytest.raises(NonUnitaryResultError):
-            propagate_states(HamiltonianTier.RWA_EFFECTIVE, pulse, space, start, 0.0, 3.0, 3.0)
-        # a generator inside the up-front norm bound can still outrun the series
+        final = propagate_states(HamiltonianTier.RWA_EFFECTIVE, pulse, space, start, 0.0, 3.0, 3.0).states
+        exact = expm(-3j * hamiltonian(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 1.5)) @ start
+        assert np.abs(final - exact).max() < 1e-12
+        # 0.7 times the old up-front limit 29!^(1/29), a generator whose series did not converge
         operators = np.diag([1.0, -1.0]).astype(complex)[None]
-        weights = np.full((1, 1, 1), 0.7 * evolve._STEP_NORM_LIMIT)
-        with pytest.raises(NonUnitaryResultError, match="step series failed to converge"):
-            evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((1, 2, 1), dtype=complex))
+        weights = np.full((1, 1, 1), 0.7 * math.factorial(29) ** (1 / 29))
+        blocks, _ = evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((1, 2, 1), dtype=complex))
+        exact = expm(-1j * weights[0, 0, 0] * operators[0]) @ np.ones(2)
+        assert np.abs(blocks[0, :, 0] - exact).max() < 1e-13
 
     @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
     def test_states_path_matches_full_unitary(self, tier, standard_pulse):
@@ -148,6 +151,22 @@ class TestNumericPropagator:
         for pulse, final in zip(pulses, stacked):
             single = propagate_states(HamiltonianTier.ROTATING_FRAME, pulse, *args).states
             assert np.abs(final - single).max() < 1e-14
+
+    def test_stacked_rest_frames_match_one_at_a_time(self, standard_pulse):
+        # three circular pulses, each stepped in its own rest frame, beside a sampled
+        # pulse in the lab frame: the stack has no run longer than one step, while a
+        # circular pulse alone is one run through a step matrix
+        space = FockSpace(6)
+        times = np.linspace(0.0, standard_pulse.T, 65)
+        sampled = PulseSpec(Sampled(dt=times[1], values=tuple(standard_pulse.g(times))), T=standard_pulse.T, r0=1.0)
+        pulses = [PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=r0) for r0 in (0.5, 1.0, 2.0)]
+        pulses.append(sampled)
+        start = random_columns(np.random.default_rng(4), 24, 3)
+        args = (space, start, 0.0, standard_pulse.T, standard_pulse.T / 1000)
+        stacked = propagate_states(HamiltonianTier.ROTATING_FRAME, pulses, *args).states
+        for pulse, final in zip(pulses, stacked):
+            single = propagate_states(HamiltonianTier.ROTATING_FRAME, pulse, *args).states
+            assert np.abs(final - single).max() < 1e-12
 
 
 def eigh_product(tier, pulse, space, dt):
@@ -247,6 +266,8 @@ class TestExchangeSymmetry:
         st.integers(2, 6),
         st.integers(0, 2**32 - 1),
     )
+    # the --hypothesis-seed 23 draw: full-tier steps of norm bound 3.5, past one series' reach
+    @example(tier=HamiltonianTier.FULL_EFFECTIVE, g0=0.25, nu=1.0, phase0=0.0, r0=3.0, n_steps=4, dim=3, seed=0)
     def test_circular_matches_dense_stepping(self, tier, g0, nu, phase0, r0, n_steps, dim, seed):
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=2.0, r0=r0)
         space = FockSpace(dim)
@@ -308,7 +329,7 @@ class TestFrameChange:
         assert wrong_sign > 0.1
 
 
-def nan_step_blocks(operators, norms, weights, h, blocks):
+def nan_step_blocks(operators, norms, weights, h, blocks, frame=None):
     """A stand-in for ``_step_blocks`` whose every stepped entry is nan."""
     return np.full(np.shape(blocks), np.nan + 0j), 1
 
@@ -326,6 +347,13 @@ class TestGuards:
         with pytest.raises(SimulationGuard, match="double precision"):
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(4), 0.0, pulse.T, 0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rest_frame_past_double_precision_is_refused_up_front(self):
+        # the first midpoint's fast phase is finite, but the frame rate 4 r0 overflows
+        pulse = PulseSpec(g_shape=Circular(g0=0.2, nu=1.0), T=2 * math.pi, r0=5e307)
+        with pytest.raises(SimulationGuard, match="rest frame turns by inf"):
+            propagate_numeric(HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), 0.0, pulse.T, pulse.T / 100)
+
     def test_stacked_pulses_share_the_step_budget(self, standard_pulse, monkeypatch):
         # 50 steps per pulse fit a budget of 100, three stacked pulses do not
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
@@ -333,6 +361,16 @@ class TestGuards:
         propagate_states(HamiltonianTier.ROTATING_FRAME, standard_pulse, *args)
         with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
             propagate_states(HamiltonianTier.ROTATING_FRAME, [standard_pulse] * 3, *args)
+
+    def test_substeps_share_the_step_budget(self, monkeypatch):
+        # one step of generator norm bound 3 * 2 * 5 * sqrt(7) = 79.4 takes 32 substeps
+        pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 5.0),)), T=3.0)
+        args = (HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(8), np.eye(32, 1), 0.0, 3.0, 3.0)
+        monkeypatch.setattr(evolve, "MAX_SAMPLES", 32)
+        propagate_states(*args)
+        monkeypatch.setattr(evolve, "MAX_SAMPLES", 31)
+        with pytest.raises(SimulationGuard, match="32 substeps needed .* above the limit of 31"):
+            propagate_states(*args)
 
     def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
         monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
@@ -351,6 +389,40 @@ class TestGuards:
         monkeypatch.setattr(gate, "propagate_states", lambda *args: nan_states)
         with pytest.raises(NonUnitaryResultError, match="vacuum"):
             gate_matrix(standard_pulse, FockSpace(8), method="numeric_rwa")
+
+
+def displacement_product(pulse, n_steps):
+    """The ++ vacuum return of the RWA midpoint product, in closed form and with no Fock space.
+
+    Step k is the displacement D(beta_k), beta_k = -i h conj(g(t_k)), and
+    D(b2) D(b1) = D(b1 + b2) e^{i Im(b2 conj(b1))}, so the product sends vacuum to
+    e^{i phi} |B_n>, with partial sums B_k and phi = sum_k Im(beta_k conj(B_{k-1})).
+    """
+    h = pulse.T / n_steps
+    beta = -1j * h * np.conj(pulse.g((np.arange(n_steps) + 0.5) * h))
+    partial = np.cumsum(beta)
+    phi = np.sum((beta[1:] * np.conj(partial[:-1])).imag)
+    return np.exp(-abs(partial[-1]) ** 2 / 2 + 1j * phi)
+
+
+class TestDisplacementOracle:
+    """The numeric RWA gate against the exact displacement product of its own steps."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            Circular(g0=0.1, nu=0.2, phase0=0.3),  # one run in its rest frame
+            # a closed polygon of |alpha| up to 0.8, every corner on the grid: one run per segment
+            PiecewiseConstant(segments=((2.0, 0.28), (1.0, 0.56j), (2.0, -0.28 - 0.14j), (1.0, -0.28j))),
+            # chords of the circle: a new generator at every step
+            Sampled(dt=math.pi / 4.8, values=tuple(0.1 * np.exp(-0.2j * np.linspace(0.0, math.pi / 0.1, 49)))),
+        ],
+        ids=["circle", "polygon", "sampled"],
+    )
+    def test_numeric_rwa_gate_is_the_displacement_product(self, shape):
+        pulse = PulseSpec(g_shape=shape, T=shape.natural_duration() or 2 * math.pi / 0.2)
+        report = gate_matrix(pulse, FockSpace(16), method="numeric_rwa", dt=pulse.T / 4000)
+        assert abs(report.matrix[0, 0] - displacement_product(pulse, 4000)) < 1e-12
 
 
 class TestDisplacementEngine:

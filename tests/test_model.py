@@ -18,7 +18,13 @@ from loopgate import (
     effective_couplings,
     sigma_x_basis_change,
 )
-from loopgate.model import branch_lambda, cumulative_drive_integral, hamiltonian_operators
+from loopgate.model import (
+    branch_lambda,
+    cumulative_drive_integral,
+    hamiltonian_operators,
+    hamiltonian_weights,
+    rest_frame,
+)
 from conftest import hamiltonian
 
 
@@ -256,6 +262,31 @@ class TestHamiltonians:
         # each operator is kron(qubit factor, Fock factor), so its 2-norm is the product of theirs
         operators, norms = hamiltonian_operators(tier, FockSpace(dim), triplet)
         np.testing.assert_allclose(norms, np.linalg.norm(operators, ord=2, axis=(1, 2)), rtol=1e-15, atol=0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from(list(HamiltonianTier)),
+        st.floats(0.01, 1.0),
+        st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.01),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 3.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_rest_frame_carries_the_circular_generator(self, tier, g0, nu, phase0, r0, t, s):
+        # H(t + s) = e^{i s D} H(t) e^{-i s D} on the triplet rows, D diagonal
+        pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=6.0, r0=r0)
+        operators, _ = hamiltonian_operators(tier, SPACE, triplet=True)
+        later, now = (np.tensordot(hamiltonian_weights(tier, pulse, x)[0], operators, 1) for x in (t + s, t))
+        turn = np.exp(1j * s * rest_frame(tier, pulse, SPACE))
+        assert np.abs(turn[:, None] * now * turn.conj() - later).max() < 1e-13
+
+    def test_only_circular_drives_have_a_rest_frame(self, zero_pulse, standard_pulse):
+        sampled = PulseSpec(g_shape=Sampled(dt=1.0, values=(0.1, 0.2j)), T=1.0)
+        for tier in HamiltonianTier:
+            assert rest_frame(tier, zero_pulse, SPACE) is None
+            assert rest_frame(tier, sampled, SPACE) is None
+            assert rest_frame(tier, standard_pulse, SPACE).shape == (3 * SPACE.dim,)
 
     def test_branch_count(self):
         assert BRANCHES == ("++", "+-", "-+", "--")
