@@ -17,17 +17,20 @@ It refuses more than MAX_SAMPLES steps before building any array; the scalar
 loop engine in :mod:`loopgate.phase` needs no matrices and shares that budget.
 
 The steps are walked in runs of consecutive steps with exactly equal weights.
-A run of L steps on an m x N block goes through one step matrix, the step
-series on the m x m identity applied L times, when L N > m, which costs fewer
-flops than L series on the block; every other run steps the block through
-the series at each step. A piecewise drive on the RWA and full tiers is one
-run per segment. A circular drive is stepped in its rest frame
-(:func:`loopgate.model.rest_frame`), where every midpoint generator is that
-of the first midpoint, so its whole window is one run. Sampled drives, and
-piecewise drives on the rotating tier, whose fast phase turns at every step,
-take a new generator at each step. A step whose generator norm bound exceeds
-SUBSTEP_NORM is split into equal substeps, which count against MAX_SAMPLES
-and are a run of their own.
+A run of L steps on an m x N block goes through one step matrix W, the step
+series on the m x m identity, when L N > m, which costs fewer flops than L
+series on the block; every other run steps the block through the series at
+each step. W^L reaches the block by repeated squaring: while L is even and
+L N > 2 m, W is squared and L halved, otherwise W is applied once and L drops
+by one, so a run costs O(log L) products. A piecewise drive on the RWA and
+full tiers is one run per segment. A circular drive is stepped in its rest
+frame (:func:`loopgate.model.rest_frame`), where every midpoint generator is
+that of the first midpoint, so its whole window is one run; when every
+stacked pulse has a rest frame, one weight row serves all the steps. Sampled
+drives, and piecewise drives on the rotating tier, whose fast phase turns at
+every step, take a new generator at each step. A step whose generator norm
+bound exceeds SUBSTEP_NORM is split into equal substeps, which count against
+MAX_SAMPLES and are a run of their own.
 """
 
 import math
@@ -48,9 +51,10 @@ from .model import (
 )
 
 # longest time grid, summed over stacked pulses: measured peak RSS grows by about
-# 250 bytes per step on the rotating tier, for a circular or a sampled drive, and
-# 100 bytes per phase.solve_loop sample (numpy 2.4, x86-64 Linux), so a run at the
-# limit stays under 1 GB
+# 250 bytes per step on the rotating tier for a sampled drive, and 100 bytes per
+# phase.solve_loop sample (numpy 2.4, x86-64 Linux), so a run at the limit stays
+# under 1 GB; the steps of circular drives share one weight row (a million of them
+# at dim 4 peak at 31 MB)
 MAX_SAMPLES = 2_000_000
 
 # the step product stays unitary to roundoff; anything above this signals misuse
@@ -106,15 +110,39 @@ def _series(gen, blocks, tol):
     raise NonUnitaryResultError("step series failed to converge; reduce dt")
 
 
-def _step_blocks(operators, norms, weights, h, blocks, frame=None):
+def _apply_power(matrix, block, length):
+    """Return matrix^length @ block for an m x m matrix and an m x N block; block may be overwritten.
+
+    One greedy loop: while length is even and length N > 2 m, the matrix is
+    squared (m^3 flops, where the length / 2 products it saves cost m^2 N each)
+    and length halves; otherwise the matrix is applied to the block once and
+    length drops by one. So a long run costs O(log length) products, and a run
+    with length N <= 2 m throughout takes exactly length products.
+    """
+    width = block.shape[1]
+    spare = np.empty_like(block)
+    while length:
+        if length % 2 == 0 and length * width > 2 * len(matrix):
+            matrix = matrix @ matrix
+            length //= 2
+        else:
+            np.matmul(matrix, block, out=spare)
+            block, spare = spare, block
+            length -= 1
+    return block
+
+
+def _step_blocks(operators, norms, weights, h, blocks, frame=None, repeats=None):
     """Apply exp(-i h sum_j weights[k, b, j] operators[j]) for k = 0, 1, ... to blocks (B, m, N).
 
-    ``norms`` holds the operators' 2-norms, which bound every step generator's
-    norm x_k before the first step; a step with x_k above SUBSTEP_NORM is
-    split into ceil(x_k / SUBSTEP_NORM) equal substeps, and all substeps count
-    against MAX_SAMPLES. The steps are walked in runs of consecutive steps
-    with exactly equal weights. A run of L (sub)steps goes through one step
-    matrix, the series on the m x m identity applied L times, when L N > m;
+    Row k of ``weights`` serves ``repeats[k]`` consecutive steps, one each when
+    ``repeats`` is None. ``norms`` holds the operators' 2-norms, which bound
+    every step generator's norm x_k before the first step; a step with x_k
+    above SUBSTEP_NORM is split into ceil(x_k / SUBSTEP_NORM) equal substeps,
+    and all substeps count against MAX_SAMPLES. The steps are walked in runs of
+    consecutive steps with exactly equal weights. A run of L (sub)steps goes
+    through one step matrix W per block, the series on the m x m identity,
+    when L N > m, and reaches W^L by repeated squaring (:func:`_apply_power`);
     every other run steps the blocks through the series at each (sub)step.
     ``frame``, when given, is the (B, m) diagonal D of each block's rest frame:
     its weights are those of the first midpoint, each step is followed by
@@ -122,19 +150,22 @@ def _step_blocks(operators, norms, weights, h, blocks, frame=None):
     Returns the blocks and the largest series order used; a step matrix's
     order is that of its series on the identity.
     """
+    repeats = np.ones(len(weights), dtype=int) if repeats is None else np.asarray(repeats)
+    n = int(repeats.sum())
     coeffs = (-1j * h) * weights
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = np.max(np.abs(coeffs) @ norms, axis=1)
     bound = float(np.max(bounds))
     if not math.isfinite(bound * bound):  # nan, inf, or a norm no substep budget could split
         raise SimulationGuard(f"drive too strong for double precision: step generator norm {bound:.3g}")
-    turn = 0.0 if frame is None else len(weights) * h * float(np.max(np.abs(frame)))
+    turn = 0.0 if frame is None else n * h * float(np.max(np.abs(frame)))
     if not math.isfinite(turn):
         raise SimulationGuard(f"drive too fast for double precision: rest frame turns by {turn:.3g}")
     substeps = np.maximum(1.0, np.ceil(bounds / SUBSTEP_NORM))
-    if not (substeps.sum() * len(blocks) <= MAX_SAMPLES):
+    total = (substeps * repeats).sum() * len(blocks)
+    if not (total <= MAX_SAMPLES):
         raise SimulationGuard(
-            f"{substeps.sum() * len(blocks):.4g} substeps needed for step generator norms up to {bound:.3g}, "
+            f"{total:.4g} substeps needed for step generator norms up to {bound:.3g}, "
             f"above the limit of {MAX_SAMPLES}; weaken the drive"
         )
     blocks = np.array(blocks, dtype=complex)
@@ -145,36 +176,37 @@ def _step_blocks(operators, norms, weights, h, blocks, frame=None):
     # the operators are sparse: each run rewrites only the entries they touch
     support = np.flatnonzero(np.any(operators, axis=0))
     values = operators.reshape(len(operators), -1)[:, support]
-    gen = np.zeros((count, m, m), dtype=complex)
+    gen = None
     spin = None if frame is None else np.exp(-1j * h * frame)[:, :, None]
     # a run: consecutive steps with exactly equal weights, which share one generator
     starts = np.flatnonzero(np.concatenate(([True], np.any(weights[1:] != weights[:-1], axis=(1, 2)))))
     top = 0
-    for start, end in zip(starts, np.append(starts[1:], len(weights))):
+    for start, length in zip(starts, np.add.reduceat(repeats, starts)):
         parts = int(substeps[start])
         step = coeffs[start] if parts == 1 else coeffs[start] / parts
-        gen.reshape(count, -1)[:, support] = step @ values
-        if (end - start) * parts * width > m:
-            # one step matrix per block serves the whole run, one matmul per step
+        entries = step @ values
+        if length * parts * width > m:
+            # one step matrix per block serves the whole run; its generator is built one block at a time
+            generator = np.zeros((m, m), dtype=complex)
             for b in range(count):
+                generator.reshape(-1)[support] = entries[b]
                 matrix = np.eye(m, dtype=complex)
-                top = max(top, _series(gen[b], matrix, 1e-32 / m))  # tol's rule on the identity
+                top = max(top, _series(generator, matrix, 1e-32 / m))  # tol's rule on the identity
                 matrix = np.linalg.matrix_power(matrix, parts)
                 if spin is not None:
                     matrix *= spin[b]
-                block, spare = blocks[b], np.empty_like(blocks[b])
-                for _ in range(end - start):
-                    np.matmul(matrix, block, out=spare)
-                    block, spare = spare, block
-                blocks[b] = block
+                blocks[b] = _apply_power(matrix, blocks[b], int(length))
         else:
-            for _ in range(end - start):
+            if gen is None:  # the stacked generator, built only when a run takes the series
+                gen = np.zeros((count, m, m), dtype=complex)
+            gen.reshape(count, -1)[:, support] = entries
+            for _ in range(length):
                 for _ in range(parts):
                     top = max(top, _series(gen, blocks, tol))
                 if spin is not None:
                     blocks *= spin
     if frame is not None:
-        blocks *= np.exp(1j * (len(weights) * h) * frame)[:, :, None]
+        blocks *= np.exp(1j * (n * h) * frame)[:, :, None]
     return blocks, top
 
 
@@ -197,11 +229,18 @@ def _step_moving_rows(tier, pulses, space, start, t0, t1, dt):
         )
     n = max(1, math.ceil(steps - 1e-9))
     h = (t1 - t0) / n
-    times = t0 + (np.arange(n) + 0.5) * h
-    # a pulse with a rest frame is stepped there, under the weights of its first midpoint
+    # a pulse with a rest frame is stepped there, under the weights of its first midpoint;
+    # when every pulse has one, one weight row serves all n steps
     frames = [rest_frame(tier, p, space) for p in pulses]
+    if all(f is not None for f in frames):
+        times, repeats = np.array([t0 + 0.5 * h]), [n]
+    else:
+        times, repeats = t0 + (np.arange(n) + 0.5) * h, None
     weights = np.stack(
-        [hamiltonian_weights(tier, p, times if f is None else np.full(n, times[0])) for p, f in zip(pulses, frames)],
+        [
+            hamiltonian_weights(tier, p, times if f is None else np.full(len(times), times[0]))
+            for p, f in zip(pulses, frames)
+        ],
         axis=1,
     )
     if tier is HamiltonianTier.RWA_EFFECTIVE:
@@ -218,7 +257,7 @@ def _step_moving_rows(tier, pulses, space, start, t0, t1, dt):
     if any(f is not None for f in frames):
         frame = np.array([np.zeros(len(start)) if f is None else f for f in frames])
     blocks = np.broadcast_to(start, (len(pulses), *start.shape))
-    moved, top = _step_blocks(operators, norms, weights, h, blocks, frame)
+    moved, top = _step_blocks(operators, norms, weights, h, blocks, frame, repeats)
     return moved, n, top
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,68 @@ class TestNumericPropagator:
             assert np.abs(final - single).max() < 1e-12
 
 
+class TestStepMatrixRuns:
+    """A run of L equal steps against L explicit products of its step matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.integers(2, 6),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_run_equals_its_step_products(self, length, m, width, spin, seed):
+        rng = np.random.default_rng(seed)
+        # two Hermitian operators of 2-norm 1 and weights of modulus <= 1: no substeps
+        raw = random_columns(rng, m, 2 * m).reshape(m, 2, m).transpose(1, 0, 2)
+        operators = raw + raw.conj().transpose(0, 2, 1)
+        operators /= np.linalg.norm(operators, ord=2, axis=(1, 2))[:, None, None]
+        weights = rng.uniform(-0.7, 0.7, size=(1, 1, 2)) + 0j
+        h = rng.uniform(0.1, 1.0)
+        frame = rng.uniform(-3.0, 3.0, size=(1, m)) if spin else None
+        # squaring's roundoff grows as L eps times the block's norm, so the columns have norm 1
+        block = random_columns(rng, m, width)
+        block /= np.linalg.norm(block, axis=0)
+        final, _ = evolve._step_blocks(operators, np.ones(2), weights, h, block[None], frame, [length])
+        # the engine's step matrix: its series on the identity, then exp(-i h D)
+        matrix = np.eye(m, dtype=complex)
+        evolve._series(np.tensordot(-1j * h * weights[0, 0], operators, 1), matrix, 1e-32 / m)
+        if spin:
+            matrix *= np.exp(-1j * h * frame[0])[:, None]
+        expected = block.astype(complex)
+        for _ in range(length):
+            expected = matrix @ expected
+        if spin:
+            expected *= np.exp(1j * (length * h) * frame[0])[:, None]
+        assert np.abs(final[0] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 8, 13, 16])
+    def test_narrow_block_takes_every_step_product(self, length):
+        # L N <= 2 m throughout: squaring the 16 x 16 matrix would cost more than it saves
+        rng = np.random.default_rng(length)
+        matrix, _ = np.linalg.qr(random_columns(rng, 16, 16))
+        block = random_columns(rng, 16, 2)
+        expected = block.copy()
+        for _ in range(length):
+            expected = matrix @ expected
+        assert np.array_equal(evolve._apply_power(matrix, block, length), expected)
+
+    def test_circular_run_builds_no_per_step_arrays(self):
+        # one weight row serves all 200 000 steps: the stepper needs kilobytes, where
+        # per-step weights, coefficients and run masks took tens of MB
+        pulse = PulseSpec(g_shape=Circular(g0=0.2, nu=1.0), T=2 * math.pi, r0=20.0)
+        args = (HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), np.eye(16, 4), 0.0, pulse.T)
+        propagate_states(*args, pulse.T / 100)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            propagate_states(*args, pulse.T / 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def eigh_product(tier, pulse, space, dt):
     """Oracle: product of per-step exponentials exp(-i h H(t_mid)) from eigendecompositions."""
     n = max(1, math.ceil(pulse.T / dt - 1e-9))
@@ -329,7 +392,7 @@ class TestFrameChange:
         assert wrong_sign > 0.1
 
 
-def nan_step_blocks(operators, norms, weights, h, blocks, frame=None):
+def nan_step_blocks(operators, norms, weights, h, blocks, frame=None, repeats=None):
     """A stand-in for ``_step_blocks`` whose every stepped entry is nan."""
     return np.full(np.shape(blocks), np.nan + 0j), 1
 
