@@ -1,20 +1,21 @@
 """Numeric time-ordered propagation: the matrix engine.
 
-The numeric engine approximates the time-ordered evolution of any tier as a
-product of short-time exponentials with midpoint sampling (second order in
-the step for continuous drives), for a block of state columns
-(:func:`propagate_states`) or the full propagator (:func:`propagate_numeric`).
-Both go through one step of the rows that move: on the rotating and full
-tiers the 3 dim exchange-symmetric (triplet) rows, on the RWA tier the dim
-cavity rows of the |++> branch alone. There the |--> rows ride in the same
-block as their parity mirror: P = (-1)^n flips the sign of a, so the |-->
-generator is P times the |++> generator times P, and P maps the stepped
-columns back exactly. The singlet rows, and on the RWA tier both middle
-branches, come back unchanged. The full propagator is the stepped identity
-of the moving rows, placed in the 4 dim space through their small qubit
-factor, so no product with a 4 dim side is formed.
-It refuses more than MAX_SAMPLES steps before building any array; the scalar
-loop engine in :mod:`loopgate.phase` needs no matrices and shares that budget.
+The numeric engine approximates the time-ordered evolution of any tier under
+one pulse as a product of short-time exponentials with midpoint sampling
+(second order in the step for continuous drives), for a block of state
+columns (:func:`propagate_states`) or the full propagator
+(:func:`propagate_numeric`). Both go through one step of the rows that move:
+on the rotating and full tiers the 3 dim exchange-symmetric (triplet) rows,
+on the RWA tier the dim cavity rows of the |++> branch alone. There the |-->
+rows ride in the same block as their parity mirror: P = (-1)^n flips the sign
+of a, so the |--> generator is P times the |++> generator times P, and P maps
+the stepped columns back exactly. The singlet rows, and on the RWA tier both
+middle branches, come back unchanged. The full propagator is the stepped
+identity of the moving rows, placed in the 4 dim space through their small
+qubit factor, so no product with a 4 dim side is formed.
+It refuses more than MAX_SAMPLES steps before building any array
+(:func:`step_count`); the scalar loop engine in :mod:`loopgate.phase` needs no
+matrices and shares that budget.
 
 The steps are walked in runs of consecutive steps with exactly equal weights.
 A run of L steps on an m x N block goes through one step matrix W, the step
@@ -25,12 +26,11 @@ L N > 2 m, W is squared and L halved, otherwise W is applied once and L drops
 by one, so a run costs O(log L) products. A piecewise drive on the RWA and
 full tiers is one run per segment. A circular drive is stepped in its rest
 frame (:func:`loopgate.model.rest_frame`), where every midpoint generator is
-that of the first midpoint, so its whole window is one run; when every
-stacked pulse has a rest frame, one weight row serves all the steps. Sampled
-drives, and piecewise drives on the rotating tier, whose fast phase turns at
-every step, take a new generator at each step. A step whose generator norm
-bound exceeds SUBSTEP_NORM is split into equal substeps, which count against
-MAX_SAMPLES and are a run of their own.
+that of the first midpoint, so its whole window is one run through one weight
+row. Sampled drives, and piecewise drives on the rotating tier, whose fast
+phase turns at every step, take a new generator at each step. A step whose
+generator norm bound exceeds SUBSTEP_NORM is split into equal substeps, which
+count against MAX_SAMPLES and are a run of their own.
 """
 
 import math
@@ -50,11 +50,11 @@ from .model import (
     triplet_rows,
 )
 
-# longest time grid, summed over stacked pulses: measured peak RSS grows by about
-# 250 bytes per step on the rotating tier for a sampled drive, and 100 bytes per
-# phase.solve_loop sample (numpy 2.4, x86-64 Linux), so a run at the limit stays
-# under 1 GB; the steps of circular drives share one weight row (a million of them
-# at dim 4 peak at 31 MB)
+# longest time grid of one propagation, and of all the gates of one scan together
+# (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on the
+# rotating tier for a sampled drive, and 100 bytes per phase.solve_loop sample
+# (numpy 2.4, x86-64 Linux), so a run at the limit stays under 1 GB; a circular
+# drive's steps share one weight row (a million of them at dim 4 peak at 31 MB)
 MAX_SAMPLES = 2_000_000
 
 # the step product stays unitary to roundoff; anything above this signals misuse
@@ -132,29 +132,29 @@ def _apply_power(matrix, block, length):
     return block
 
 
-def _step_blocks(operators, norms, weights, h, blocks, frame=None, repeats=None):
-    """Apply exp(-i h sum_j weights[k, b, j] operators[j]) for k = 0, 1, ... to blocks (B, m, N).
+def _step_blocks(operators, norms, weights, h, block, frame=None, repeats=None):
+    """Apply exp(-i h sum_j weights[k, j] operators[j]) for k = 0, 1, ... to an m x N block.
 
     Row k of ``weights`` serves ``repeats[k]`` consecutive steps, one each when
     ``repeats`` is None. ``norms`` holds the operators' 2-norms, which bound
     every step generator's norm x_k before the first step; a step with x_k
     above SUBSTEP_NORM is split into ceil(x_k / SUBSTEP_NORM) equal substeps,
     and all substeps count against MAX_SAMPLES. The steps are walked in runs of
-    consecutive steps with exactly equal weights. A run of L (sub)steps goes
-    through one step matrix W per block, the series on the m x m identity,
-    when L N > m, and reaches W^L by repeated squaring (:func:`_apply_power`);
-    every other run steps the blocks through the series at each (sub)step.
-    ``frame``, when given, is the (B, m) diagonal D of each block's rest frame:
-    its weights are those of the first midpoint, each step is followed by
-    exp(-i h D), and exp(i n h D) after the last step brings the product back.
-    Returns the blocks and the largest series order used; a step matrix's
-    order is that of its series on the identity.
+    consecutive steps with exactly equal weights, which share one m x m
+    generator. A run of L (sub)steps goes through one step matrix W, the series
+    on the m x m identity, when L N > m, and reaches W^L by repeated squaring
+    (:func:`_apply_power`); every other run steps the block through the series
+    at each (sub)step. ``frame``, when given, is the (m,) diagonal D of the
+    block's rest frame: its weights are those of the first midpoint, each step
+    is followed by exp(-i h D), and exp(i n h D) after the last step brings the
+    product back. Returns the block and the largest series order used; a step
+    matrix's order is that of its series on the identity.
     """
     repeats = np.ones(len(weights), dtype=int) if repeats is None else np.asarray(repeats)
     n = int(repeats.sum())
     coeffs = (-1j * h) * weights
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = np.max(np.abs(coeffs) @ norms, axis=1)
+        bounds = np.abs(coeffs) @ norms
     bound = float(np.max(bounds))
     if not math.isfinite(bound * bound):  # nan, inf, or a norm no substep budget could split
         raise SimulationGuard(f"drive too strong for double precision: step generator norm {bound:.3g}")
@@ -162,102 +162,89 @@ def _step_blocks(operators, norms, weights, h, blocks, frame=None, repeats=None)
     if not math.isfinite(turn):
         raise SimulationGuard(f"drive too fast for double precision: rest frame turns by {turn:.3g}")
     substeps = np.maximum(1.0, np.ceil(bounds / SUBSTEP_NORM))
-    total = (substeps * repeats).sum() * len(blocks)
+    total = (substeps * repeats).sum()
     if not (total <= MAX_SAMPLES):
         raise SimulationGuard(
             f"{total:.4g} substeps needed for step generator norms up to {bound:.3g}, "
             f"above the limit of {MAX_SAMPLES}; weaken the drive"
         )
-    blocks = np.array(blocks, dtype=complex)
-    count, m, width = blocks.shape
+    block = np.array(block, dtype=complex)
+    m, width = block.shape
     # a column of norm s has an entry of modulus >= s / sqrt(m), and steps keep
     # norms, so |term|^2 < tol is never looser than max|term| < 1e-16 max(1, max|block|)
-    tol = 1e-32 * max(1.0, float(np.max(np.linalg.norm(blocks, axis=1))) ** 2 / m)
+    tol = 1e-32 * max(1.0, float(np.max(np.linalg.norm(block, axis=0))) ** 2 / m)
     # the operators are sparse: each run rewrites only the entries they touch
     support = np.flatnonzero(np.any(operators, axis=0))
     values = operators.reshape(len(operators), -1)[:, support]
-    gen = None
-    spin = None if frame is None else np.exp(-1j * h * frame)[:, :, None]
+    generator = np.zeros((m, m), dtype=complex)
+    spin = None if frame is None else np.exp(-1j * h * frame)[:, None]
     # a run: consecutive steps with exactly equal weights, which share one generator
-    starts = np.flatnonzero(np.concatenate(([True], np.any(weights[1:] != weights[:-1], axis=(1, 2)))))
+    starts = np.flatnonzero(np.concatenate(([True], np.any(weights[1:] != weights[:-1], axis=1))))
     top = 0
     for start, length in zip(starts, np.add.reduceat(repeats, starts)):
         parts = int(substeps[start])
-        step = coeffs[start] if parts == 1 else coeffs[start] / parts
-        entries = step @ values
+        generator.reshape(-1)[support] = (coeffs[start] if parts == 1 else coeffs[start] / parts) @ values
         if length * parts * width > m:
-            # one step matrix per block serves the whole run; its generator is built one block at a time
-            generator = np.zeros((m, m), dtype=complex)
-            for b in range(count):
-                generator.reshape(-1)[support] = entries[b]
-                matrix = np.eye(m, dtype=complex)
-                top = max(top, _series(generator, matrix, 1e-32 / m))  # tol's rule on the identity
-                matrix = np.linalg.matrix_power(matrix, parts)
-                if spin is not None:
-                    matrix *= spin[b]
-                blocks[b] = _apply_power(matrix, blocks[b], int(length))
+            # one step matrix serves the whole run
+            matrix = np.eye(m, dtype=complex)
+            top = max(top, _series(generator, matrix, 1e-32 / m))  # tol's rule on the identity
+            matrix = np.linalg.matrix_power(matrix, parts)
+            if spin is not None:
+                matrix *= spin
+            block = _apply_power(matrix, block, int(length))
         else:
-            if gen is None:  # the stacked generator, built only when a run takes the series
-                gen = np.zeros((count, m, m), dtype=complex)
-            gen.reshape(count, -1)[:, support] = entries
             for _ in range(length):
                 for _ in range(parts):
-                    top = max(top, _series(gen, blocks, tol))
+                    top = max(top, _series(generator, block, tol))
                 if spin is not None:
-                    blocks *= spin
+                    block *= spin
     if frame is not None:
-        blocks *= np.exp(1j * (n * h) * frame)[:, :, None]
-    return blocks, top
+        block *= np.exp(1j * (n * h) * frame)[:, None]
+    return block, top
 
 
-def _step_moving_rows(tier, pulses, space, start, t0, t1, dt):
-    """Step ``start`` (moving row, column) over [t0, t1] under each pulse's generator.
+def step_count(t0, t1, dt, T, copies=1):
+    """The number of uniform steps of about dt over [t0, t1], within a drive cycle of length T.
 
-    The moving rows are the dim |++> cavity rows on the RWA tier and the 3 dim
-    triplet rows on the rotating and full tiers. Returns the stepped blocks,
-    with a leading pulse axis, the step count and the largest series order used.
+    Refuses a window outside [0, T], and more than MAX_SAMPLES steps over
+    ``copies`` such windows, before anything is built.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    T = min(p.T for p in pulses)
     if not (0 <= t0 < t1 <= T * (1 + 1e-12) + 1e-12):
         raise ValueError(f"need 0 <= t0 < t1 <= T, got t0={t0}, t1={t1}, T={T}")
     steps = (t1 - t0) / dt
-    if not (steps * len(pulses) <= MAX_SAMPLES):
-        raise SimulationGuard(
-            f"{steps * len(pulses):.4g} steps requested, above the limit of {MAX_SAMPLES}; raise dt"
-        )
-    n = max(1, math.ceil(steps - 1e-9))
+    if not (steps * copies <= MAX_SAMPLES):
+        raise SimulationGuard(f"{steps * copies:.4g} steps requested, above the limit of {MAX_SAMPLES}; raise dt")
+    return max(1, math.ceil(steps - 1e-9))
+
+
+def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
+    """Step ``start`` (moving row, column) over [t0, t1] under the pulse's generator.
+
+    The moving rows are the dim |++> cavity rows on the RWA tier and the 3 dim
+    triplet rows on the rotating and full tiers. Returns the stepped block, the
+    step count and the largest series order used.
+    """
+    n = step_count(t0, t1, dt, pulse.T)
     h = (t1 - t0) / n
-    # a pulse with a rest frame is stepped there, under the weights of its first midpoint;
-    # when every pulse has one, one weight row serves all n steps
-    frames = [rest_frame(tier, p, space) for p in pulses]
-    if all(f is not None for f in frames):
-        times, repeats = np.array([t0 + 0.5 * h]), [n]
+    # a pulse with a rest frame is stepped there, where the weights of its first
+    # midpoint serve all n steps
+    frame = rest_frame(tier, pulse, space)
+    if frame is None:
+        weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
     else:
-        times, repeats = t0 + (np.arange(n) + 0.5) * h, None
-    weights = np.stack(
-        [
-            hamiltonian_weights(tier, p, times if f is None else np.full(len(times), times[0]))
-            for p, f in zip(pulses, frames)
-        ],
-        axis=1,
-    )
+        weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
     if tier is HamiltonianTier.RWA_EFFECTIVE:
         # (sigma1_x + sigma2_x) (x) a is diag(2, 0, 0, -2) (x) a in the branch basis
         operators = np.array([annihilation(space), creation(space)])
         norms = np.full(2, math.sqrt(space.dim - 1))  # ||a|| = ||a^dag||
         weights = 2.0 * weights
         # the ++ rows lead the triplet rows; the P x-- columns share their generator, so their frame
-        frames = [None if frame is None else frame[: space.dim] for frame in frames]
+        frame = None if frame is None else frame[: space.dim]
     else:
         operators, norms = hamiltonian_operators(tier, space, triplet=True)
-    # a pulse without a rest frame sits in the lab frame, D = 0, within a stack that has one
-    frame = None
-    if any(f is not None for f in frames):
-        frame = np.array([np.zeros(len(start)) if f is None else f for f in frames])
-    blocks = np.broadcast_to(start, (len(pulses), *start.shape))
-    moved, top = _step_blocks(operators, norms, weights, h, blocks, frame, repeats)
+    moved, top = _step_blocks(operators, norms, weights, h, start, frame, repeats)
     return moved, n, top
 
 
@@ -268,7 +255,7 @@ def _parity(space: FockSpace) -> np.ndarray:
 
 def propagate_states(
     tier: HamiltonianTier,
-    pulse: PulseSpec | list[PulseSpec],
+    pulse: PulseSpec,
     space: FockSpace,
     states: np.ndarray,
     t0: float,
@@ -278,11 +265,8 @@ def propagate_states(
     """Apply the midpoint-sampled short-time product over [t0, t1] to a block of state columns.
 
     dt is rounded so the window divides into uniform steps; halving it reduces
-    the error at second order for continuous drives. ``pulse`` may also be a
-    sequence of pulses, stepped as one stack: the states then gain a leading
-    pulse axis.
+    the error at second order for continuous drives.
     """
-    pulses = (pulse,) if isinstance(pulse, PulseSpec) else tuple(pulse)
     columns = np.asarray(states, dtype=complex).reshape(len(states), -1)
     width = columns.shape[1]
     if tier is HamiltonianTier.RWA_EFFECTIVE:
@@ -290,24 +274,21 @@ def propagate_states(
         parity = _parity(space)[:, None]
         branches = (sigma_x_basis_change() @ columns.reshape(4, -1)).reshape(4, space.dim, width)
         start = np.concatenate([branches[0], parity * branches[3]], axis=1)
-        moved, n, top = _step_moving_rows(tier, pulses, space, start, t0, t1, dt)
-        rows = np.broadcast_to(branches, (len(pulses), *branches.shape)).copy()
-        rows[:, 0] = moved[:, :, :width]
-        rows[:, 3] = parity * moved[:, :, width:]
-        final = (sigma_x_basis_change() @ rows.reshape(len(pulses), 4, -1)).reshape(len(pulses), *columns.shape)
+        moved, n, top = _step_moving_rows(tier, pulse, space, start, t0, t1, dt)
+        branches[0] = moved[:, :width]
+        branches[3] = parity * moved[:, width:]
+        final = (sigma_x_basis_change() @ branches.reshape(4, -1)).reshape(columns.shape)
     else:
         # the singlet rows never move: step the triplet coordinates x = W^dag columns
         # alone and add W (x_final - x_initial), so unmoved components return bit for bit
         triplet = triplet_rows()
         start = (triplet.conj().T @ columns.reshape(4, -1)).reshape(3 * space.dim, -1)
-        moved, n, top = _step_moving_rows(tier, pulses, space, start, t0, t1, dt)
-        shift = triplet @ (moved - start).reshape(len(pulses), 3, -1)
-        final = columns + shift.reshape(len(pulses), *columns.shape)
-    drift = float(np.max(np.abs(np.linalg.norm(final, axis=1) - np.linalg.norm(columns, axis=0))))
+        moved, n, top = _step_moving_rows(tier, pulse, space, start, t0, t1, dt)
+        final = columns + (triplet @ (moved - start).reshape(3, -1)).reshape(columns.shape)
+    drift = float(np.max(np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(columns, axis=0))))
     if not (drift <= UNITARITY_TOL):
         raise NonUnitaryResultError(f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space")
-    shape = np.shape(states) if isinstance(pulse, PulseSpec) else (len(pulses), *np.shape(states))
-    return StatePropagation(final.reshape(shape), n, top, drift)
+    return StatePropagation(final.reshape(np.shape(states)), n, top, drift)
 
 
 def propagate_numeric(
@@ -325,8 +306,7 @@ def propagate_numeric(
     """
     rwa = tier is HamiltonianTier.RWA_EFFECTIVE
     eye = np.eye((1 if rwa else 3) * space.dim)
-    stepped, n, top = _step_moving_rows(tier, (pulse,), space, eye, t0, t1, dt)
-    block = stepped[0]
+    block, n, top = _step_moving_rows(tier, pulse, space, eye, t0, t1, dt)
     if rwa:
         # the -- block is P (++ block) P; its defect is the same, since P only flips signs
         parity = _parity(space)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .design import GATE_METHODS, design_circle, nontriviality
 from .errors import NonUnitaryResultError, StepTooCoarseError
-from .evolve import propagate_states
+from .evolve import propagate_states, step_count
 from .fock import FockSpace, vacuum
 from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
 from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
@@ -87,8 +87,7 @@ def gate_matrix(
         diagonality = 0.0
         health = {}
     else:
-        [(matrix, extracted, diagonality)], result = _numeric_gates([pulse], space, method, dt)
-        health = {"max_order": result.max_order, "norm_drift": result.norm_drift}
+        [(matrix, extracted, diagonality)], health = _numeric_gates([pulse], space, method, dt)
 
     fidelity = gate_fidelity(matrix, ideal_gate(extracted))
     return GateReport(
@@ -104,10 +103,15 @@ def gate_matrix(
 
 
 def _numeric_gates(pulses, space, method, dt):
-    """(matrix, gamma, diagonality) per pulse, stepped as one stack, and the propagation."""
+    """(matrix, gamma, diagonality) per pulse, and the largest max_order and norm_drift over the pulses.
+
+    The pulses share T, dt and one step budget. Every precondition is judged
+    before the first pulse is stepped; then the pulses are stepped one at a time.
+    """
     tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
+    T = pulses[0].T
     if dt is None:
-        dt = pulses[0].T / 4000
+        dt = T / 4000
     max_r0 = max(pulse.r0 for pulse in pulses)
     # only the rotating tier keeps the 2*r0 oscillation; "not <" refuses an overflowing product too
     if tier is HamiltonianTier.ROTATING_FRAME and not (dt * max_r0 < _STEP_RESOLUTION_LIMIT):
@@ -115,11 +119,12 @@ def _numeric_gates(pulses, space, method, dt):
             f"dt * max(r0) = {dt * max_r0:.3g} >= {_STEP_RESOLUTION_LIMIT}; "
             "the 2*r0 oscillation would be unresolved; reduce dt"
         )
+    step_count(0.0, T, dt, T, copies=len(pulses))
     columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-    result = propagate_states(tier, pulses, space, columns, 0.0, pulses[0].T, dt)
-    gates = []
-    for final in result.states:
-        matrix = columns.conj().T @ final
+    gates, top, drift = [], 0, 0.0
+    for pulse in pulses:
+        result = propagate_states(tier, pulse, space, columns, 0.0, T, dt)
+        matrix = columns.conj().T @ result.states
         returns = np.abs(np.diag(matrix))
         if not (returns.min() >= _VACUUM_RETURN_MIN):
             raise NonUnitaryResultError(
@@ -129,7 +134,8 @@ def _numeric_gates(pulses, space, method, dt):
         matrix = matrix / matrix[1, 1]
         off = matrix - np.diag(np.diag(matrix))
         gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max())))
-    return gates, result
+        top, drift = max(top, result.max_order), max(drift, result.norm_drift)
+    return gates, {"max_order": top, "norm_drift": drift}
 
 
 def design_circular_pulse(

@@ -21,14 +21,14 @@ from .phase import CLOSURE_STEPS, solve_loop
 
 _CONVERGENCE_THRESHOLD = 1e-8
 
-# largest n_r0 * dim^2 of an rwa scan, whose rotating-tier gates step their columns
-# through one (n_r0, 3 dim, 3 dim) complex generator of 144 bytes per dim^2 and r0
-# value; below dim 8 the other per-r0 costs (about 2.5 kB) dominate, so dim counts
-# as 8 there. A run through step matrices builds its generator and step matrix one
-# r0 value at a time. Measured peak RSS at the limit (numpy 2.4, x86-64 Linux, one
-# BLAS thread): for 7 r0 values at dim 512, 0.50 GB stepping the columns (20 steps)
-# and 0.40 GB through step matrices (400 steps, 51 s); 0.29 GB for 31 250 at dim 8
-# through step matrices, with 1, 6 or 64 steps each (64 is MAX_SAMPLES steps in all)
+# largest n_r0 * dim^2 of an rwa scan. Its rotating-tier gates are stepped one at a
+# time, each on the 3 dim triplet rows, so the scan's memory is that of one gate and
+# its time grows with the number of gates; below dim 8 the setup of each gate
+# dominates, so dim counts as 8 there. Measured at the limit (numpy 2.4, x86-64
+# Linux, 2 vCPUs, one BLAS thread): 7 r0 values at dim 512 take 5.5 s and peak at
+# 0.29 GB RSS stepping the columns (20 steps each), and 36 s and 0.40 GB through step
+# matrices (400 steps each); 31 250 at dim 8 take 27-34 s and peak at 0.13 GB with 1,
+# 6 or 64 steps each (64 is MAX_SAMPLES steps in all)
 MAX_SCAN_SIZE = 2_000_000
 
 
@@ -61,9 +61,10 @@ def rwa_error_scan(
 
     One solve_loop on CLOSURE_STEPS intervals is the closure verdict of every
     gate: it refuses an open or overflowing loop before anything is stepped.
-    The rotating-frame gates, one stack through the numeric gate path, come
-    next, so that path refuses the scan unless dt * max(r0) < 0.1; the
-    strong-driving gate does not depend on r0 and is stepped last, once.
+    The rotating-frame gates come next, through the numeric gate path: it
+    refuses the scan unless dt * max(r0) < 0.1 and their steps together fit
+    MAX_SAMPLES, and only then steps them one at a time. The strong-driving
+    gate does not depend on r0 and is stepped last, once.
     monotone_flag records whether infidelity never increases along the scan.
     """
     values = [float(v) for v in r0_values]
@@ -76,12 +77,12 @@ def rwa_error_scan(
     size = len(values) * max(space.dim, 8) ** 2
     if size > MAX_SCAN_SIZE:
         raise SimulationGuard(
-            f"{len(values)} r0 values at dim {space.dim} need about {144 * size / 1e9:.3g} GB: "
-            f"n_r0 * max(dim, 8)^2 = {size}, above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim"
+            f"{len(values)} r0 values at dim {space.dim}: n_r0 * max(dim, 8)^2 = {size}, "
+            f"above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim"
         )
     # the closure verdict of every gate below, judged before anything is stepped
     solve_loop(pulse, CLOSURE_STEPS)
-    # every r0 shares T and dt, so the rotating-frame gates are stepped as one stack
+    # every r0 shares T and dt, and the rotating-frame gates share one step budget
     gates, _ = _numeric_gates([replace(pulse, r0=r0) for r0 in values], space, "numeric_rotating", dt)
     [(reference, reference_gamma, _)], _ = _numeric_gates([pulse], space, "numeric_rwa", dt)
     rows = [

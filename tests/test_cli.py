@@ -499,14 +499,14 @@ def test_values_near_the_float_limit_end_in_a_documented_exit_code(tmp_path, cap
 
 
 def test_oversized_rwa_scan_is_refused_before_the_first_gate(tmp_path, capsys):
-    # 100 r0 values at dim 512 would step a 3.8 GB generator
+    # 100 r0 values at dim 512 would step 100 rotating-tier gates of 1536 rows each
     r0_values = " ".join(str(r0) for r0 in range(1, 101))
     text = CIRCULAR_CONFIG + f"\n[scan]\nkind = rwa\nr0_values = {r0_values}\ndt = 0.0005\ndim = 512\n"
     cfg = write(tmp_path / "v.ini", text)
     assert cli.main(["validate", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: 100 r0 values at dim 512 need about 3.77 GB: n_r0 * max(dim, 8)^2 = 26214400, "
+        "error: 100 r0 values at dim 512: n_r0 * max(dim, 8)^2 = 26214400, "
         f"above the limit of {MAX_SCAN_SIZE}; scan fewer r0 values or lower dim\n"
     )
     assert captured.out == ""

@@ -114,10 +114,10 @@ class TestNumericPropagator:
         assert np.abs(final - exact).max() < 1e-12
         # 0.7 times the old up-front limit 29!^(1/29), a generator whose series did not converge
         operators = np.diag([1.0, -1.0]).astype(complex)[None]
-        weights = np.full((1, 1, 1), 0.7 * math.factorial(29) ** (1 / 29))
-        blocks, _ = evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((1, 2, 1), dtype=complex))
-        exact = expm(-1j * weights[0, 0, 0] * operators[0]) @ np.ones(2)
-        assert np.abs(blocks[0, :, 0] - exact).max() < 1e-13
+        weights = np.full((1, 1), 0.7 * math.factorial(29) ** (1 / 29))
+        block, _ = evolve._step_blocks(operators, np.ones(1), weights, 1.0, np.ones((2, 1), dtype=complex))
+        exact = expm(-1j * weights[0, 0] * operators[0]) @ np.ones(2)
+        assert np.abs(block[:, 0] - exact).max() < 1e-13
 
     @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
     def test_states_path_matches_full_unitary(self, tier, standard_pulse):
@@ -142,33 +142,6 @@ class TestNumericPropagator:
         assert 1 <= result.max_order < evolve.SERIES_TERMS
         assert 0.0 <= result.norm_drift < 1e-12
 
-    def test_stacked_pulses_match_one_at_a_time(self, standard_pulse):
-        space = FockSpace(6)
-        pulses = [PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=r0) for r0 in (0.5, 2.0)]
-        start = np.eye(24, 3, dtype=complex)
-        args = (space, start, 0.0, 5.0, 0.05)
-        stacked = propagate_states(HamiltonianTier.ROTATING_FRAME, pulses, *args).states
-        assert stacked.shape == (2, 24, 3)
-        for pulse, final in zip(pulses, stacked):
-            single = propagate_states(HamiltonianTier.ROTATING_FRAME, pulse, *args).states
-            assert np.abs(final - single).max() < 1e-14
-
-    def test_stacked_rest_frames_match_one_at_a_time(self, standard_pulse):
-        # three circular pulses, each stepped in its own rest frame, beside a sampled
-        # pulse in the lab frame: the stack has no run longer than one step, while a
-        # circular pulse alone is one run through a step matrix
-        space = FockSpace(6)
-        times = np.linspace(0.0, standard_pulse.T, 65)
-        sampled = PulseSpec(Sampled(dt=times[1], values=tuple(standard_pulse.g(times))), T=standard_pulse.T, r0=1.0)
-        pulses = [PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=r0) for r0 in (0.5, 1.0, 2.0)]
-        pulses.append(sampled)
-        start = random_columns(np.random.default_rng(4), 24, 3)
-        args = (space, start, 0.0, standard_pulse.T, standard_pulse.T / 1000)
-        stacked = propagate_states(HamiltonianTier.ROTATING_FRAME, pulses, *args).states
-        for pulse, final in zip(pulses, stacked):
-            single = propagate_states(HamiltonianTier.ROTATING_FRAME, pulse, *args).states
-            assert np.abs(final - single).max() < 1e-12
-
 
 class TestStepMatrixRuns:
     """A run of L equal steps against L explicit products of its step matrix."""
@@ -187,24 +160,24 @@ class TestStepMatrixRuns:
         raw = random_columns(rng, m, 2 * m).reshape(m, 2, m).transpose(1, 0, 2)
         operators = raw + raw.conj().transpose(0, 2, 1)
         operators /= np.linalg.norm(operators, ord=2, axis=(1, 2))[:, None, None]
-        weights = rng.uniform(-0.7, 0.7, size=(1, 1, 2)) + 0j
+        weights = rng.uniform(-0.7, 0.7, size=(1, 2)) + 0j
         h = rng.uniform(0.1, 1.0)
-        frame = rng.uniform(-3.0, 3.0, size=(1, m)) if spin else None
+        frame = rng.uniform(-3.0, 3.0, size=m) if spin else None
         # squaring's roundoff grows as L eps times the block's norm, so the columns have norm 1
         block = random_columns(rng, m, width)
         block /= np.linalg.norm(block, axis=0)
-        final, _ = evolve._step_blocks(operators, np.ones(2), weights, h, block[None], frame, [length])
+        final, _ = evolve._step_blocks(operators, np.ones(2), weights, h, block, frame, [length])
         # the engine's step matrix: its series on the identity, then exp(-i h D)
         matrix = np.eye(m, dtype=complex)
-        evolve._series(np.tensordot(-1j * h * weights[0, 0], operators, 1), matrix, 1e-32 / m)
+        evolve._series(np.tensordot(-1j * h * weights[0], operators, 1), matrix, 1e-32 / m)
         if spin:
-            matrix *= np.exp(-1j * h * frame[0])[:, None]
+            matrix *= np.exp(-1j * h * frame)[:, None]
         expected = block.astype(complex)
         for _ in range(length):
             expected = matrix @ expected
         if spin:
-            expected *= np.exp(1j * (length * h) * frame[0])[:, None]
-        assert np.abs(final[0] - expected).max() < 1e-12
+            expected *= np.exp(1j * (length * h) * frame)[:, None]
+        assert np.abs(final - expected).max() < 1e-12
 
     @pytest.mark.parametrize("length", [1, 2, 5, 8, 13, 16])
     def test_narrow_block_takes_every_step_product(self, length):
@@ -294,8 +267,8 @@ def dense_states(tier, pulse, space, states, t1, dt):
     n = max(1, math.ceil(t1 / dt - 1e-9))
     h = t1 / n
     weights = hamiltonian_weights(tier, pulse, (np.arange(n) + 0.5) * h)
-    final, _ = evolve._step_blocks(*hamiltonian_operators(tier, space), weights[:, None], h, states[None])
-    return final[0]
+    final, _ = evolve._step_blocks(*hamiltonian_operators(tier, space), weights, h, states)
+    return final
 
 
 def random_columns(rng, rows, count):
@@ -392,9 +365,9 @@ class TestFrameChange:
         assert wrong_sign > 0.1
 
 
-def nan_step_blocks(operators, norms, weights, h, blocks, frame=None, repeats=None):
+def nan_step_blocks(operators, norms, weights, h, block, frame=None, repeats=None):
     """A stand-in for ``_step_blocks`` whose every stepped entry is nan."""
-    return np.full(np.shape(blocks), np.nan + 0j), 1
+    return np.full(np.shape(block), np.nan + 0j), 1
 
 
 class TestGuards:
@@ -416,14 +389,6 @@ class TestGuards:
         pulse = PulseSpec(g_shape=Circular(g0=0.2, nu=1.0), T=2 * math.pi, r0=5e307)
         with pytest.raises(SimulationGuard, match="rest frame turns by inf"):
             propagate_numeric(HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), 0.0, pulse.T, pulse.T / 100)
-
-    def test_stacked_pulses_share_the_step_budget(self, standard_pulse, monkeypatch):
-        # 50 steps per pulse fit a budget of 100, three stacked pulses do not
-        monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
-        args = (FockSpace(4), np.eye(16, 1), 0.0, standard_pulse.T, standard_pulse.T / 50)
-        propagate_states(HamiltonianTier.ROTATING_FRAME, standard_pulse, *args)
-        with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
-            propagate_states(HamiltonianTier.ROTATING_FRAME, [standard_pulse] * 3, *args)
 
     def test_substeps_share_the_step_budget(self, monkeypatch):
         # one step of generator norm bound 3 * 2 * 5 * sqrt(7) = 79.4 takes 32 substeps
@@ -448,7 +413,7 @@ class TestGuards:
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
 
     def test_nan_states_trip_the_vacuum_return_guard(self, standard_pulse, monkeypatch):
-        nan_states = StatePropagation(np.full((1, 32, 4), np.nan + 0j), 10, 1, 0.0)
+        nan_states = StatePropagation(np.full((32, 4), np.nan + 0j), 10, 1, 0.0)
         monkeypatch.setattr(gate, "propagate_states", lambda *args: nan_states)
         with pytest.raises(NonUnitaryResultError, match="vacuum"):
             gate_matrix(standard_pulse, FockSpace(8), method="numeric_rwa")
@@ -486,6 +451,41 @@ class TestDisplacementOracle:
         pulse = PulseSpec(g_shape=shape, T=shape.natural_duration() or 2 * math.pi / 0.2)
         report = gate_matrix(pulse, FockSpace(16), method="numeric_rwa", dt=pulse.T / 4000)
         assert abs(report.matrix[0, 0] - displacement_product(pulse, 4000)) < 1e-12
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(["circle", "polygon", "sampled"]),
+        st.floats(0.1, 0.6),
+        st.integers(0, 2**32 - 1),
+        st.integers(50, 400),
+        st.integers(12, 16),
+    )
+    def test_any_dt(self, kind, excursion, seed, n_steps, dim):
+        # loops of max|alpha| <= 0.6 at dim >= 12 leave a truncation error far below 1e-12.
+        # A circle is one run through a step matrix; a polygon off the grid mixes
+        # segment runs with one-step runs through the series; a sampled drive takes the
+        # series at every step
+        rng = np.random.default_rng(seed)
+        if kind == "circle":
+            nu = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+            shape = Circular(g0=excursion * abs(nu) / 2, nu=nu, phase0=rng.uniform(0.0, 2 * math.pi))
+            T = int(rng.integers(1, 3)) * 2 * math.pi / abs(nu)
+        elif kind == "polygon":
+            polygon, _ = random_closed_piecewise(rng)
+            durations, values = np.array(polygon.g_shape.segments, dtype=complex).T
+            scale = excursion / np.max(np.abs(np.cumsum(durations * values)))
+            shape = PiecewiseConstant(segments=tuple((d.real, complex(g * scale)) for d, g in zip(durations, values)))
+            T = shape.natural_duration()
+        else:
+            # K chords of a circle close the loop: the samples of one turn sum to 0
+            K, sample_dt = int(rng.integers(3, 49)), rng.uniform(0.05, 0.5)
+            turn = rng.choice([-1.0, 1.0]) * 2 * math.pi * np.arange(K + 1) / K
+            g0 = excursion * math.pi / (K * sample_dt)
+            shape = Sampled(dt=sample_dt, values=tuple(g0 * np.exp(1j * (turn + rng.uniform(0.0, 2 * math.pi)))))
+            T = shape.natural_duration()
+        pulse = PulseSpec(g_shape=shape, T=T)
+        report = gate_matrix(pulse, FockSpace(dim), method="numeric_rwa", dt=T / n_steps)
+        assert abs(report.matrix[0, 0] - displacement_product(pulse, n_steps)) < 1e-12
 
 
 class TestDisplacementEngine:

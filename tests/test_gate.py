@@ -122,7 +122,7 @@ class TestGateMatrix:
 
     @pytest.mark.parametrize("dt,r0", [(0.01, 10.0), (0.02, 10.0), (None, 100.0)])
     def test_rotating_step_must_resolve_the_fast_oscillation(self, dt, r0):
-        # dt * r0 = 0.1, 0.2 and (T/4000) * r0 = 0.157: the rwa scan's stack refuses the same
+        # dt * r0 = 0.1, 0.2 and (T/4000) * r0 = 0.157: the rwa scan refuses the same
         pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=1.0), T=2 * math.pi, r0=r0)
         with pytest.raises(StepTooCoarseError, match="the 2\\*r0 oscillation would be unresolved"):
             gate_matrix(pulse, FockSpace(4), method="numeric_rotating", dt=dt)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from loopgate import (
     Circular,
     FockSpace,
+    Sampled,
     gate_fidelity,
     gate_matrix,
     PiecewiseConstant,
@@ -13,6 +15,7 @@ from loopgate import (
     SimulationGuard,
     StepTooCoarseError,
     TruncationGuardError,
+    evolve,
     gate,
     rwa_error_scan,
     truncation_scan,
@@ -41,9 +44,46 @@ class TestRwaScan:
         with pytest.raises(StepTooCoarseError):
             rwa_error_scan(short_pulse, [1.0, 2000.0], FockSpace(32), dt=1e-4)
 
+    def test_r0_values_share_the_step_budget(self, monkeypatch):
+        # 50 steps fit a budget of 100 for one gate; the three gates of a scan do not,
+        # and that is judged before any gate is stepped. A weak drive returns to vacuum
+        # at r0 below the drive frequency
+        pulse = PulseSpec(g_shape=Circular(g0=0.01, nu=1.0), T=2 * math.pi)
+        monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
+        dt = pulse.T / 50
+        rwa_error_scan(pulse, [0.6], FockSpace(4), dt)
+
+        def stepped(*args, **kwargs):
+            raise AssertionError("a gate was stepped")
+
+        monkeypatch.setattr(gate, "propagate_states", stepped)
+        with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
+            rwa_error_scan(pulse, [0.2, 0.4, 0.6], FockSpace(4), dt)
+
+    def test_peak_memory_does_not_grow_with_the_r0_count(self):
+        # a sampled drive takes the series at every step, on a 144 x 144 generator at
+        # dim 48; the gates are stepped one at a time, so six r0 values need no more
+        # memory than one (six generators stepped as one stack peaked at 4.4 MB, one gate at 2.5 MB)
+        pulse = PulseSpec(g_shape=Sampled(dt=0.25, values=(0.1, 0.1j, -0.1, -0.1j, 0.1)), T=1.0)
+
+        def peak(r0_values):
+            tracemalloc.start()
+            try:
+                rwa_error_scan(pulse, r0_values, FockSpace(48), dt=0.016)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([6.0])  # first-call allocations stay out of the count
+        one = peak([6.0])
+        six = peak([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        # slack for the previous gate's states, alive while the next gate is stepped,
+        # and five more gate matrices: about 28 kB here
+        assert six <= one + 65_536
+
     @pytest.mark.parametrize("dim,limit", [(2, MAX_SCAN_SIZE // 64), (512, MAX_SCAN_SIZE // 512**2)])
     def test_stack_size_is_bounded(self, short_pulse, monkeypatch, dim, limit):
-        # below dim 8 each r0 value counts as a dim-8 generator; a scan at the limit gets past the bound
+        # below dim 8 each r0 value counts as a dim-8 gate; a scan at the limit gets past the bound
         class ReachedTheGates(Exception):
             pass
 
@@ -51,7 +91,7 @@ class TestRwaScan:
             raise ReachedTheGates
 
         monkeypatch.setattr(validate, "_numeric_gates", reached)
-        with pytest.raises(SimulationGuard, match=f"{limit + 1} r0 values at dim {dim} need about"):
+        with pytest.raises(SimulationGuard, match=f"{limit + 1} r0 values at dim {dim}: n_r0 "):
             rwa_error_scan(short_pulse, list(range(1, limit + 2)), FockSpace(dim), dt=1e-9)
         with pytest.raises(ReachedTheGates):
             rwa_error_scan(short_pulse, list(range(1, limit + 1)), FockSpace(dim), dt=1e-9)
