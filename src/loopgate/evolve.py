@@ -4,15 +4,18 @@ The numeric engine approximates the time-ordered evolution of any tier under
 one pulse as a product of short-time exponentials with midpoint sampling
 (second order in the step for continuous drives), for a block of state
 columns (:func:`propagate_states`) or the full propagator
-(:func:`propagate_numeric`). Both go through one step of the rows that move:
-on the rotating and full tiers the 3 dim exchange-symmetric (triplet) rows,
-on the RWA tier the dim cavity rows of the |++> branch alone. There the |-->
-rows ride in the same block as their parity mirror: P = (-1)^n flips the sign
-of a, so the |--> generator is P times the |++> generator times P, and P maps
-the stepped columns back exactly. The singlet rows, and on the RWA tier both
-middle branches, come back unchanged. The full propagator is the stepped
-identity of the moving rows, placed in the 4 dim space through their small
-qubit factor, so no product with a 4 dim side is formed.
+(:func:`propagate_numeric`). Both go through one step of the rows that move,
+on one path for every tier: the tier's operators on its moving rows, from
+:func:`loopgate.model.hamiltonian_operators`, whose qubit factors are built
+once per tier. The moving rows are the 3 dim exchange-symmetric (triplet)
+rows on the rotating and full tiers, and the dim cavity rows of the |++>
+branch alone on the RWA tier, where the operators are 2 a and 2 a^dag. There
+the |--> rows ride in the same block as their parity mirror: P = (-1)^n flips
+the sign of a, so the |--> generator is P times the |++> generator times P,
+and P maps the stepped columns back exactly. The singlet rows, and on the RWA
+tier both middle branches, come back unchanged. The full propagator is the
+stepped identity of the moving rows, placed in the 4 dim space through their
+small qubit factor, so no product with a 4 dim side is formed.
 It refuses more than MAX_SAMPLES steps before building any array
 (:func:`step_count`); the scalar loop engine in :mod:`loopgate.phase` needs no
 matrices and shares that budget.
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnitaryResultError, SimulationGuard
-from .fock import FockSpace, annihilation, creation
+from .fock import FockSpace
 from .model import (
     HamiltonianTier,
     PulseSpec,
@@ -223,8 +226,9 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
     """Step ``start`` (moving row, column) over [t0, t1] under the pulse's generator.
 
     The moving rows are the dim |++> cavity rows on the RWA tier and the 3 dim
-    triplet rows on the rotating and full tiers. Returns the stepped block, the
-    step count and the largest series order used.
+    triplet rows on the rotating and full tiers; every tier takes its operators
+    on them, and its rest frame, from :mod:`loopgate.model` alike. Returns the
+    stepped block, the step count and the largest series order used.
     """
     n = step_count(t0, t1, dt, pulse.T)
     h = (t1 - t0) / n
@@ -235,16 +239,7 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
         weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
     else:
         weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
-    if tier is HamiltonianTier.RWA_EFFECTIVE:
-        # (sigma1_x + sigma2_x) (x) a is diag(2, 0, 0, -2) (x) a in the branch basis
-        operators = np.array([annihilation(space), creation(space)])
-        norms = np.full(2, math.sqrt(space.dim - 1))  # ||a|| = ||a^dag||
-        weights = 2.0 * weights
-        # the ++ rows lead the triplet rows; the P x-- columns share their generator, so their frame
-        frame = None if frame is None else frame[: space.dim]
-    else:
-        operators, norms = hamiltonian_operators(tier, space, triplet=True)
-    moved, top = _step_blocks(operators, norms, weights, h, start, frame, repeats)
+    moved, top = _step_blocks(*hamiltonian_operators(tier, space, moving=True), weights, h, start, frame, repeats)
     return moved, n, top
 
 

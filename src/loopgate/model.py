@@ -22,6 +22,7 @@ basis |+-> = (|g> +- |e>)/sqrt(2).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -257,21 +258,24 @@ def cumulative_drive_integral(pulse: PulseSpec, times: np.ndarray, values=None) 
     return out
 
 
-def _two_atom(op: np.ndarray) -> np.ndarray:
-    """op_1 + op_2 on the two-qubit factor, bare-basis ordering (gg, ge, eg, ee)."""
-    eye = np.eye(2)
-    return np.kron(op, eye) + np.kron(eye, op)
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
+_BASIS_CHANGE = np.kron(_HADAMARD, _HADAMARD) / 2
 
 
 def sigma_x_basis_change() -> np.ndarray:
     """Self-inverse unitary between the bare and the sigma_x product basis; entries exactly +-1/2."""
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex)
-    return np.kron(hadamard, hadamard) / 2
+    return _BASIS_CHANGE.copy()
 
 
 # the exchange-symmetric (triplet) states |++>, (|+-> + |-+>)/sqrt(2), |-->,
 # written in the sigma_x product basis
 _TRIPLET = np.array([[1, 0, 0], [0, math.sqrt(0.5), 0], [0, math.sqrt(0.5), 0], [0, 0, 1]])
+
+
+@functools.cache
+def _triplet_rows() -> np.ndarray:
+    """The bare-basis triplet columns, built on first use, since importing makes no BLAS call."""
+    return _BASIS_CHANGE @ _TRIPLET
 
 
 def triplet_rows() -> np.ndarray:
@@ -280,52 +284,76 @@ def triplet_rows() -> np.ndarray:
     Every tier treats the two atoms alike, so it keeps their span and never
     moves the singlet (|+-> - |-+>)/sqrt(2).
     """
-    return sigma_x_basis_change() @ _TRIPLET
-
-
-def _tier_terms(tier: HamiltonianTier):
-    """Each term of a tier, listed once: (two-qubit factor, Fock factor, weight).
-
-    A weight is a function of the halved drive samples g(t)/2, the fast phase
-    e^{2 i r0 t} and r0. H(t) is the sum of weight * kron(qubit factor, Fock
-    factor) over the terms plus the adjoint of every term.
-    """
-    if tier is HamiltonianTier.RWA_EFFECTIVE:
-        return ((_two_atom(_SIGMA_X), "a", lambda half, fast, r0: half),)
-    if tier is HamiltonianTier.ROTATING_FRAME:
-        return (
-            (_two_atom(_SIGMA_X), "a", lambda half, fast, r0: half),
-            (_two_atom(_PLUS_MINUS), "a", lambda half, fast, r0: half * fast),
-            (_two_atom(_MINUS_PLUS), "a", lambda half, fast, r0: -half * fast.conj()),
-        )
-    if tier is HamiltonianTier.FULL_EFFECTIVE:
-        return (
-            (_two_atom(_SIGMA_PLUS), "a", lambda half, fast, r0: 2 * half),
-            # the classical flips r0 (sigma1_x + sigma2_x) split into two equal halves
-            (_two_atom(_SIGMA_X), "1", lambda half, fast, r0: np.full(half.shape, 0.5 * r0)),
-        )
-    raise ValueError(f"unknown tier {tier!r}")
+    return _triplet_rows().copy()
 
 
 # J, the number of + atoms on each triplet row: |++>, (|+-> + |-+>)/sqrt(2), |-->
 _PLUS_COUNT = np.array([2.0, 1.0, 0.0])
 
+# the moving rows of each tier: its leading triplet rows. The RWA generator is diagonal
+# in the sigma_x basis, and its |--> rows ride along with |++> as their parity mirror
+# (evolve), so it moves |++> alone
+_MOVING_ROWS = {HamiltonianTier.RWA_EFFECTIVE: 1, HamiltonianTier.ROTATING_FRAME: 3, HamiltonianTier.FULL_EFFECTIVE: 3}
+
+# Each term of each tier, listed once: (two-atom operator, Fock factor, weight). A weight
+# is a function of the halved drive samples g(t)/2, the fast phase e^{2 i r0 t} and r0.
+# H(t) is the sum of weight * kron(op_1 + op_2, Fock factor) over the terms plus the
+# adjoint of every term.
+_TIER_TERMS = {
+    HamiltonianTier.RWA_EFFECTIVE: ((_SIGMA_X, "a", lambda half, fast, r0: half),),
+    HamiltonianTier.ROTATING_FRAME: (
+        (_SIGMA_X, "a", lambda half, fast, r0: half),
+        (_PLUS_MINUS, "a", lambda half, fast, r0: half * fast),
+        (_MINUS_PLUS, "a", lambda half, fast, r0: -half * fast.conj()),
+    ),
+    HamiltonianTier.FULL_EFFECTIVE: (
+        (_SIGMA_PLUS, "a", lambda half, fast, r0: 2 * half),
+        # the classical flips r0 (sigma1_x + sigma2_x) split into two equal halves
+        (_SIGMA_X, "1", lambda half, fast, r0: np.full(half.shape, 0.5 * r0)),
+    ),
+}
+
+
+@functools.cache
+def _terms(tier: HamiltonianTier) -> tuple:
+    """The tier's constant table: ((bare factor, 2-norm), (factor on the moving rows, 2-norm), Fock factor, weight).
+
+    The bare factor of a term is op_1 + op_2; the moving one is restricted to
+    the tier's moving rows, and is [[2]] on the RWA tier. The table is built on
+    the first call for each tier and kept, so no gate rebuilds it. It is not
+    built at import, because the analytic commands make no BLAS or LAPACK call
+    and so never load those libraries' pages.
+    """
+    rows = _TRIPLET[:, : _MOVING_ROWS[tier]]
+    table = []
+    for op, fock, weight in _TIER_TERMS[tier]:
+        # op_1 + op_2 on the two-qubit factor, bare-basis ordering (gg, ge, eg, ee)
+        bare = np.kron(op, np.eye(2)) + np.kron(np.eye(2), op)
+        # through the sigma_x basis, where the factors have entries 0, +-1/2, +-1 and +-2,
+        # so every zero of the restricted factor comes out exact
+        moving = rows.T @ (_BASIS_CHANGE @ bare @ _BASIS_CHANGE) @ rows
+        # the 2-norm of each small factor: its largest singular value, from its Gram matrix
+        bare_norm, moving_norm = (math.sqrt(np.linalg.eigvalsh(q.conj().T @ q)[-1]) for q in (bare, moving))
+        table.append(((bare, bare_norm), (moving, moving_norm), fock, weight))
+    return tuple(table)
+
 
 def rest_frame(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace) -> np.ndarray | None:
-    """The diagonal D on the triplet rows in which the pulse's generator stands still, or None.
+    """The diagonal D on the tier's moving rows in which the pulse's generator stands still, or None.
 
-    A circular drive turns every Fock factor a of :func:`_tier_terms` at e^{-i nu t},
+    A circular drive turns every Fock factor a of the tier's terms at e^{-i nu t},
     and the rotating tier's fast phase turns its sigma^+- pieces (|+><-| raises J by
     one) at e^{+-2 i r0 t}, while sigma_x and the identity keep J. So with
     D = nu n + 2 r0 J on the rotating tier and D = nu n on the RWA and full tiers,
-    H(t + s) = e^{i s D} H(t) e^{-i s D}. No other drive shape has such a frame.
+    H(t + s) = e^{i s D} H(t) e^{-i s D}. D has length 3 dim on the triplet rows, and
+    dim on the RWA tier's |++> rows. No other drive shape has such a frame.
     """
     if not isinstance(pulse.g_shape, Circular):
         return None
     fast = 2.0 * pulse.r0 if tier is HamiltonianTier.ROTATING_FRAME else 0.0
     # a rate past double precision comes out inf or nan, which the stepper refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return (fast * _PLUS_COUNT[:, None] + pulse.g_shape.nu * np.arange(space.dim)).ravel()
+        return (fast * _PLUS_COUNT[: _MOVING_ROWS[tier], None] + pulse.g_shape.nu * np.arange(space.dim)).ravel()
 
 
 def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.ndarray:
@@ -339,32 +367,32 @@ def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.nd
     # a fast phase past double precision comes out nan, which the step-norm guard refuses
     with np.errstate(over="ignore", invalid="ignore"):
         fast = np.exp(2j * pulse.r0 * times)
-    weights = np.stack([weight(half, fast, pulse.r0) for *_, weight in _tier_terms(tier)], axis=-1)
+    weights = np.stack([weight(half, fast, pulse.r0) for *_, weight in _TIER_TERMS[tier]], axis=-1)
     return np.concatenate([weights, weights.conj()], axis=-1)
 
 
 def hamiltonian_operators(
-    tier: HamiltonianTier, space: FockSpace, triplet: bool = False
+    tier: HamiltonianTier, space: FockSpace, moving: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tier's fixed operators kron(qubit factor, Fock factor) and their 2-norms; each term precedes its adjoint.
 
     H(t_k) = sum_j hamiltonian_weights(...)[k, j] * operators[j]. With
-    ``triplet`` every qubit factor is restricted to the columns of
-    :func:`triplet_rows`, so the operators are (3 dim)^2 instead of (4 dim)^2.
-    The 2-norm of a Kronecker product is the product of its factors' 2-norms,
-    and ||a|| = sqrt(dim - 1), so no norm of a full operator is computed.
+    ``moving`` every qubit factor is restricted to the tier's moving rows: the
+    columns of :func:`triplet_rows` on the rotating and full tiers, so the
+    operators are (3 dim)^2 instead of (4 dim)^2, and the |++> column alone on
+    the RWA tier, where they are 2 a and 2 a^dag. The qubit factors and their
+    2-norms come from the tier's table, built once, so only the Fock factor
+    is placed here. The 2-norm of a Kronecker product is the product of its
+    factors' 2-norms, and ||a|| = sqrt(dim - 1), so no norm of a full operator
+    is computed.
     """
-    terms = _tier_terms(tier)
+    terms = _terms(tier)
     fock = {"a": (annihilation(space), math.sqrt(space.dim - 1)), "1": (np.eye(space.dim), 1.0)}
-    rows = 3 if triplet else 4
+    rows = _MOVING_ROWS[tier] if moving else 4
     operators = np.empty((2 * len(terms), rows * space.dim, rows * space.dim), dtype=complex)
     norms = np.empty(2 * len(terms))
-    for j, (qubit, factor, _) in enumerate(terms):
-        if triplet:
-            # through the sigma_x basis, where the factors have entries 0, +-1/2, +-1 and +-2,
-            # so every zero of the restricted factor comes out exact
-            branch = sigma_x_basis_change() @ qubit @ sigma_x_basis_change()
-            qubit = _TRIPLET.T @ branch @ _TRIPLET
+    for j, (bare, restricted, factor, _) in enumerate(terms):
+        qubit, qubit_norm = restricted if moving else bare
         matrix, norm = fock[factor]
         # the Kronecker product written in place: no second (rows dim)^2 array is made
         np.multiply(
@@ -373,6 +401,5 @@ def hamiltonian_operators(
             out=operators[j].reshape(rows, space.dim, rows, space.dim),
         )
         np.conjugate(operators[j].T, out=operators[len(terms) + j])
-        # the largest singular value of the small qubit factor, from its Gram matrix
-        norms[j] = norms[len(terms) + j] = norm * math.sqrt(np.linalg.eigvalsh(qubit.conj().T @ qubit)[-1])
+        norms[j] = norms[len(terms) + j] = norm * qubit_norm
     return operators, norms

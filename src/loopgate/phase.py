@@ -35,20 +35,12 @@ CLOSURE_STEPS = 20_000
 _CLOSURE_REL_TOL = 1e-6
 
 
-def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform grid over the cycle, the running integral I of g on it, and the ++ loop.
+def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Uniform grid over the cycle, the drive samples g(t), the running integral I of g, and the ++ loop.
 
-    The ++ loop is alpha = -i conj(I); both start at 0.
-    """
-    times, _, run, alphas = _sample_drive(pulse, n_samples)
-    return times, run, alphas
-
-
-def _sample_drive(pulse: PulseSpec, n_samples: int):
-    """:func:`sample_loop`'s grid, I and ++ loop, with the drive samples g(t) that I integrates.
-
-    The drive is evaluated once; piecewise drives integrate exactly by
-    segments and sample no g, so theirs come back None.
+    The ++ loop is alpha = -i conj(I); I and alpha both start at 0. The drive is
+    evaluated once; piecewise drives integrate exactly by segments and sample
+    no g, so theirs comes back None.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -136,7 +128,7 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
     are meaningless for open paths. Raises SimulationGuard when the loop sum or
     the G integral is not finite: the drive is too strong for double precision.
     """
-    times, g_vals, run, alphas = _sample_drive(pulse, n_steps + 1)
+    times, g_vals, run, alphas = sample_loop(pulse, n_steps + 1)
     excursion = float(np.abs(alphas).max())
     tol = _CLOSURE_REL_TOL * max(1.0, excursion)
     residual = float(abs(alphas[-1]))

@@ -131,6 +131,22 @@ class TestNumericPropagator:
         final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, dt).states
         assert np.abs(final - prop.unitary @ columns).max() < 1e-12
 
+    @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
+    def test_qubit_factors_are_not_rebuilt_per_call(self, tier, standard_pulse, monkeypatch):
+        # a tier's qubit factors, their basis changes and their 2-norms are built once, on first use
+        space = FockSpace(6)
+        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.0)
+        columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
+        propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / 50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a qubit factor was rebuilt")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / 50)
+        propagate_states(tier, pulse, space, columns, 0.0, pulse.T, pulse.T / 50)
+
     def test_rwa_middle_branches_come_back_unchanged(self, standard_pulse):
         # the branch basis change is exact on these columns, and the +- and -+ rows never move
         space = FockSpace(6)
@@ -535,12 +551,12 @@ class TestTrajectory:
     def test_circle_against_closed_form(self, standard_pulse):
         # integrating conj(g) for the circular drive: alpha(t) = -(g0/nu)(e^{i nu t} - 1);
         # trapezoid bias is (nu*h)^2/12 relative, so this grid sits below 1e-9
-        times, _, alphas = sample_loop(standard_pulse, 65537)
+        times, _, _, alphas = sample_loop(standard_pulse, 65537)
         expected = -(0.1 / 0.2) * (np.exp(1j * 0.2 * times) - 1.0)
         np.testing.assert_allclose(alphas, expected, atol=1e-8)
 
     def test_starts_at_zero_and_spans_cycle(self, standard_pulse):
-        times, run, alphas = sample_loop(standard_pulse, 33)
+        times, _, run, alphas = sample_loop(standard_pulse, 33)
         assert run[0] == 0 and alphas[0] == 0
         assert times[0] == 0.0
         assert times[-1] == standard_pulse.T

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -24,6 +24,7 @@ from loopgate.model import (
     hamiltonian_operators,
     hamiltonian_weights,
     rest_frame,
+    triplet_rows,
 )
 from conftest import hamiltonian
 
@@ -256,12 +257,27 @@ class TestHamiltonians:
         assert np.abs(avg - hamiltonian(RWA, pulse, SPACE, 0.0)).max() < 1e-13
 
     @pytest.mark.parametrize("dim", [2, 3, 16])
-    @pytest.mark.parametrize("triplet", [False, True], ids=["bare", "triplet"])
+    # the "triplet" id is the moving-rows table: the triplet rows, or |++> alone on the RWA tier
+    @pytest.mark.parametrize("moving", [False, True], ids=["bare", "triplet"])
     @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
-    def test_operator_norms_are_the_svd_norms(self, tier, triplet, dim):
+    def test_operator_norms_are_the_svd_norms(self, tier, moving, dim):
         # each operator is kron(qubit factor, Fock factor), so its 2-norm is the product of theirs
-        operators, norms = hamiltonian_operators(tier, FockSpace(dim), triplet)
+        operators, norms = hamiltonian_operators(tier, FockSpace(dim), moving)
         np.testing.assert_allclose(norms, np.linalg.norm(operators, ord=2, axis=(1, 2)), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize(
+        "tier, rows",
+        [(FULL, triplet_rows()), (ROTATING, triplet_rows()), (RWA, sigma_x_basis_change()[:, :1])],
+        ids=["full", "rotating", "rwa"],
+    )
+    def test_moving_operators_restrict_the_bare_ones(self, tier, rows, dim):
+        # the moving table is the bare one seen through Q = moving rows (x) I_dim
+        q = np.kron(rows, np.eye(dim))
+        bare, _ = hamiltonian_operators(tier, FockSpace(dim))
+        moving, _ = hamiltonian_operators(tier, FockSpace(dim), moving=True)
+        assert moving.shape == (len(bare), q.shape[1], q.shape[1])
+        assert np.abs(q.conj().T @ bare @ q - moving).max() < 1e-15
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -273,10 +289,12 @@ class TestHamiltonians:
         st.floats(0.0, 3.0),
         st.floats(-3.0, 3.0),
     )
+    # the RWA tier's frame, on its dim |++> rows
+    @example(RWA, 0.3, 1.1, 0.2, 2.0, 0.4, -1.3)
     def test_rest_frame_carries_the_circular_generator(self, tier, g0, nu, phase0, r0, t, s):
-        # H(t + s) = e^{i s D} H(t) e^{-i s D} on the triplet rows, D diagonal
+        # H(t + s) = e^{i s D} H(t) e^{-i s D} on the tier's moving rows, D diagonal
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=6.0, r0=r0)
-        operators, _ = hamiltonian_operators(tier, SPACE, triplet=True)
+        operators, _ = hamiltonian_operators(tier, SPACE, moving=True)
         later, now = (np.tensordot(hamiltonian_weights(tier, pulse, x)[0], operators, 1) for x in (t + s, t))
         turn = np.exp(1j * s * rest_frame(tier, pulse, SPACE))
         assert np.abs(turn[:, None] * now * turn.conj() - later).max() < 1e-13
@@ -286,7 +304,9 @@ class TestHamiltonians:
         for tier in HamiltonianTier:
             assert rest_frame(tier, zero_pulse, SPACE) is None
             assert rest_frame(tier, sampled, SPACE) is None
-            assert rest_frame(tier, standard_pulse, SPACE).shape == (3 * SPACE.dim,)
+            # the triplet rows, or the |++> rows alone on the RWA tier
+            rows = 1 if tier is RWA else 3
+            assert rest_frame(tier, standard_pulse, SPACE).shape == (rows * SPACE.dim,)
 
     def test_branch_count(self):
         assert BRANCHES == ("++", "+-", "-+", "--")

@@ -208,7 +208,7 @@ class TestLoopSolutionRelations:
         assert plus.gamma_total == pytest.approx(-plus.gamma_g, abs=tol)
         assert plus.gamma_total == pytest.approx(plus.gamma_d / 2, abs=tol)
         assert solution.area("++") == pytest.approx(plus.gamma_total / 2, abs=tol)
-        assert bits(solution.excursion) == bits(float(np.abs(sample_loop(pulse, n_steps + 1)[2]).max()))
+        assert bits(solution.excursion) == bits(float(np.abs(sample_loop(pulse, n_steps + 1)[3]).max()))
 
     @settings(max_examples=40, deadline=None)
     @given(closed_drives())
