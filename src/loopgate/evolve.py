@@ -2,20 +2,19 @@
 
 The numeric engine approximates the time-ordered evolution of any tier under
 one pulse as a product of short-time exponentials with midpoint sampling
-(second order in the step for continuous drives), for a block of state
-columns (:func:`propagate_states`) or the full propagator
-(:func:`propagate_numeric`). Both go through one step of the rows that move,
-on one path for every tier: the tier's operators on its moving rows, from
-:func:`loopgate.model.hamiltonian_operators`, whose qubit factors are built
-once per tier. The moving rows are the 3 dim exchange-symmetric (triplet)
-rows on the rotating and full tiers, and the dim cavity rows of the |++>
-branch alone on the RWA tier, where the operators are 2 a and 2 a^dag. There
-the |--> rows ride in the same block as their parity mirror: P = (-1)^n flips
-the sign of a, so the |--> generator is P times the |++> generator times P,
-and P maps the stepped columns back exactly. The singlet rows, and on the RWA
-tier both middle branches, come back unchanged. The full propagator is the
-stepped identity of the moving rows, placed in the 4 dim space through their
-small qubit factor, so no product with a 4 dim side is formed.
+(second order in the step for continuous drives). It steps a block of the rows
+that move, on one path for every tier: the tier's operators on its moving
+rows, from :func:`loopgate.model.hamiltonian_operators`, whose qubit factors
+are built once per tier. The moving rows are the 3 dim exchange-symmetric
+(triplet) rows on the rotating and full tiers, and the dim cavity rows of the
+|++> branch alone on the RWA tier, where the operators are 2 a and 2 a^dag.
+There the |--> rows are the parity mirror of the |++> rows: P = (-1)^n flips
+the sign of a, so the |--> generator is P times the |++> generator times P.
+The singlet rows, and on the RWA tier both middle branches, never move. The
+full propagator (:func:`propagate_numeric`) is the stepped identity of the
+moving rows, and the numeric gate (:mod:`loopgate.gate`) their stepped vacuum
+columns; both are placed on all four qubit rows by one embedding,
+I + Q (X - I) Q^dag, so no product with a 4 dim side is formed.
 It refuses more than MAX_SAMPLES steps before building any array
 (:func:`step_count`); the scalar loop engine in :mod:`loopgate.phase` needs no
 matrices and shares that budget.
@@ -44,13 +43,14 @@ import numpy as np
 from .errors import NonUnitaryResultError, SimulationGuard
 from .fock import FockSpace
 from .model import (
+    _MOVING_ROWS,
+    _TRIPLET,
     HamiltonianTier,
     PulseSpec,
     hamiltonian_operators,
     hamiltonian_weights,
     rest_frame,
     sigma_x_basis_change,
-    triplet_rows,
 )
 
 # longest time grid of one propagation, and of all the gates of one scan together
@@ -88,14 +88,6 @@ class NumericPropagation:
     step_count: int
     max_order: int
     unitarity_defect: float
-
-
-@dataclass(frozen=True)
-class StatePropagation:
-    states: np.ndarray
-    step_count: int
-    max_order: int
-    norm_drift: float
 
 
 def _series(gen, blocks, tol):
@@ -243,47 +235,31 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
     return moved, n, top
 
 
-def _parity(space: FockSpace) -> np.ndarray:
-    """The diagonal of the Fock parity P = (-1)^n."""
-    return (-1.0) ** np.arange(space.dim)
+def _embed_moving_rows(block, size, basis):
+    """I + Q (X - I) Q^dag: the (4 size)^2 matrix that acts as X on the moving rows and as I elsewhere.
 
-
-def propagate_states(
-    tier: HamiltonianTier,
-    pulse: PulseSpec,
-    space: FockSpace,
-    states: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> StatePropagation:
-    """Apply the midpoint-sampled short-time product over [t0, t1] to a block of state columns.
-
-    dt is rounded so the window divides into uniform steps; halving it reduces
-    the error at second order for continuous drives.
+    X is the stepped block of the moving rows over ``size`` Fock levels (dim
+    for the propagator, 1 for its vacuum block): (3 size)^2 on the triplet rows,
+    or size^2 on the |++> rows of the RWA tier, whose |--> block is P X P with
+    P = (-1)^n, since P flips the sign of a and so mirrors the |++> generator.
+    ``basis`` holds the sigma_x branches as columns of the result's basis
+    (:func:`loopgate.model.sigma_x_basis_change` for the bare basis, the 4 x 4
+    identity for the branch basis), and Q is the moving rows written in it.
+    The sum runs over the qubit indices of reshaped arrays.
     """
-    columns = np.asarray(states, dtype=complex).reshape(len(states), -1)
-    width = columns.shape[1]
-    if tier is HamiltonianTier.RWA_EFFECTIVE:
-        # the -- columns ride with the ++ columns as P x--, and P maps them back exactly
-        parity = _parity(space)[:, None]
-        branches = (sigma_x_basis_change() @ columns.reshape(4, -1)).reshape(4, space.dim, width)
-        start = np.concatenate([branches[0], parity * branches[3]], axis=1)
-        moved, n, top = _step_moving_rows(tier, pulse, space, start, t0, t1, dt)
-        branches[0] = moved[:, :width]
-        branches[3] = parity * moved[:, width:]
-        final = (sigma_x_basis_change() @ branches.reshape(4, -1)).reshape(columns.shape)
+    eye = np.eye(len(block))
+    if len(block) == size:
+        parity = (-1.0) ** np.arange(size)
+        moved = np.zeros((2, size, 2, size), dtype=complex)
+        moved[0, :, 0] = block - eye
+        moved[1, :, 1] = parity[:, None] * block * parity - eye
+        qubit = basis[:, [0, 3]]
     else:
-        # the singlet rows never move: step the triplet coordinates x = W^dag columns
-        # alone and add W (x_final - x_initial), so unmoved components return bit for bit
-        triplet = triplet_rows()
-        start = (triplet.conj().T @ columns.reshape(4, -1)).reshape(3 * space.dim, -1)
-        moved, n, top = _step_moving_rows(tier, pulse, space, start, t0, t1, dt)
-        final = columns + (triplet @ (moved - start).reshape(3, -1)).reshape(columns.shape)
-    drift = float(np.max(np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(columns, axis=0))))
-    if not (drift <= UNITARITY_TOL):
-        raise NonUnitaryResultError(f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space")
-    return StatePropagation(final.reshape(np.shape(states)), n, top, drift)
+        moved = (block - eye).reshape(3, size, 3, size)
+        qubit = basis @ _TRIPLET
+    matrix = np.einsum("am,minj,bn->aibj", qubit, moved, qubit.conj()).reshape(4 * size, -1)
+    matrix += np.eye(4 * size)
+    return matrix
 
 
 def propagate_numeric(
@@ -294,30 +270,18 @@ def propagate_numeric(
     t1: float,
     dt: float,
 ) -> NumericPropagation:
-    """The full propagator over [t0, t1]: I + Q (X - I) Q^dag.
+    """The full propagator over [t0, t1]: the stepped identity of the moving rows, on all four qubit rows.
 
-    X is the stepped identity of the moving rows and Q their 4 x m qubit
-    factor; the sum runs over the qubit indices of reshaped arrays.
+    The stepped block is placed by :func:`_embed_moving_rows`.
     """
-    rwa = tier is HamiltonianTier.RWA_EFFECTIVE
-    eye = np.eye((1 if rwa else 3) * space.dim)
+    eye = np.eye(_MOVING_ROWS[tier] * space.dim)
     block, n, top = _step_moving_rows(tier, pulse, space, eye, t0, t1, dt)
-    if rwa:
-        # the -- block is P (++ block) P; its defect is the same, since P only flips signs
-        parity = _parity(space)
-        moved = np.zeros((2, space.dim, 2, space.dim), dtype=complex)
-        moved[0, :, 0] = block - eye
-        moved[1, :, 1] = parity[:, None] * block * parity - eye
-        qubit = sigma_x_basis_change()[:, [0, 3]]
-    else:
-        moved = (block - eye).reshape(3, space.dim, 3, space.dim)
-        qubit = triplet_rows()
+    # the -- block P X P of the RWA tier has the same defect, since P only flips signs
     defect = float(np.abs(block.conj().T @ block - eye).max())
     if not (defect <= UNITARITY_TOL):
         raise NonUnitaryResultError(
             f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}; "
             "reduce dt or enlarge the Fock space"
         )
-    unitary = np.einsum("am,minj,bn->aibj", qubit, moved, qubit.conj()).reshape(4 * space.dim, -1)
-    unitary += np.eye(4 * space.dim)
+    unitary = _embed_moving_rows(block, space.dim, sigma_x_basis_change())
     return NumericPropagation(unitary, tier.value, n, top, defect)

@@ -12,11 +12,12 @@ import numpy as np
 from .errors import SimulationGuard
 
 # largest Fock dimension: the rotating and full tiers build dense (3 dim)^2 operators.
-# Measured peak RSS at the limit (numpy 2.4, x86-64 Linux, one BLAS thread): a
-# numeric_rotating gate 0.28 GB when it steps its columns (300 steps) and 0.40 GB when
-# its run goes through a (3 dim)^2 step matrix (400 steps, 9.6 s); the full rotating-tier
-# propagator, which steps the (3 dim)^2 triplet identity, 0.41 GB for one step and
-# 0.45 GB for two through a step matrix; all stay under 1 GB
+# Measured peak RSS at the limit on a one-loop circle with T = 1 (numpy 2.4, x86-64
+# Linux, one BLAS thread): a numeric_rotating gate, which steps three vacuum columns,
+# 0.29 GB when it steps them through the series (300 and 400 steps, 11.7 and 12.4 s)
+# and 0.41 GB when its run goes through a (3 dim)^2 step matrix (600 steps, 8.8 s);
+# the full rotating-tier propagator, which steps the (3 dim)^2 triplet identity,
+# 0.42 GB for one step and 0.46 GB for two through a step matrix; all stay under 1 GB
 MAX_DIM = 512
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .design import GATE_METHODS, design_circle, nontriviality
 from .errors import NonUnitaryResultError, StepTooCoarseError
-from .evolve import propagate_states, step_count
-from .fock import FockSpace, vacuum
-from .model import Circular, HamiltonianTier, PulseSpec, sigma_x_basis_change
+from .evolve import UNITARITY_TOL, _embed_moving_rows, _step_moving_rows, step_count
+from .fock import FockSpace
+from .model import _MOVING_ROWS, Circular, HamiltonianTier, PulseSpec
 from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
 
 # minimum vacuum-return amplitude for a trustworthy phase readout
@@ -38,7 +38,7 @@ class GateReport:
     fidelity: float
     nontrivial: bool
     method: str
-    # numeric methods only: largest step-series order and state-norm drift
+    # numeric methods only: largest step-series order and norm drift of the stepped vacuum columns
     max_order: int = 0
     norm_drift: float = 0.0
 
@@ -68,11 +68,12 @@ def gate_matrix(
     one closure verdict: solve_loop refuses an open loop (gate phases are only
     defined for cyclic evolutions) or an overflowing drive. The analytic
     method is the ideal gate of the ++ total phase on n_steps intervals,
-    solved without a second closure check. The numeric methods propagate the
-    full composite system on the requested tier with step dt (T/4000 when
-    None) from every |branch> (x) |vacuum> state, project the final cavity
-    state back on vacuum, and report the measured 4x4 branch matrix, gauged so
-    the middle entries equal 1; the rotating tier raises StepTooCoarseError
+    solved without a second closure check. The numeric methods step the
+    vacuum column of each moving row on the requested tier with step dt
+    (T/4000 when None), read the 4x4 branch matrix off the vacuum rows of the
+    stepped columns (every |branch> (x) |vacuum> amplitude that stays in
+    vacuum), and report it gauged so the middle entries equal 1; the rotating
+    tier raises StepTooCoarseError
     unless dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only
     to the numeric methods and n_steps only to the analytic one.
     """
@@ -120,11 +121,21 @@ def _numeric_gates(pulses, space, method, dt):
             "the 2*r0 oscillation would be unresolved; reduce dt"
         )
     step_count(0.0, T, dt, T, copies=len(pulses))
-    columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
+    # the vacuum column of each moving row: the ++ row on the RWA tier, the triplet rows otherwise
+    rows = _MOVING_ROWS[tier]
+    start = np.zeros((rows * space.dim, rows))
+    start[:: space.dim] = np.eye(rows)
     gates, top, drift = [], 0, 0.0
     for pulse in pulses:
-        result = propagate_states(tier, pulse, space, columns, 0.0, T, dt)
-        matrix = columns.conj().T @ result.states
+        moved, _, order = _step_moving_rows(tier, pulse, space, start, 0.0, T, dt)
+        column_drift = float(np.max(np.abs(np.linalg.norm(moved, axis=0) - 1.0)))
+        if not (column_drift <= UNITARITY_TOL):
+            raise NonUnitaryResultError(
+                f"state norms drifted by {column_drift:.3e}; reduce dt or enlarge the Fock space"
+            )
+        # the vacuum rows of the stepped columns, on all four branches; the RWA -- entry is
+        # the ++ entry, since the vacuum has even parity
+        matrix = _embed_moving_rows(moved[:: space.dim], 1, np.eye(4))
         returns = np.abs(np.diag(matrix))
         if not (returns.min() >= _VACUUM_RETURN_MIN):
             raise NonUnitaryResultError(
@@ -134,7 +145,7 @@ def _numeric_gates(pulses, space, method, dt):
         matrix = matrix / matrix[1, 1]
         off = matrix - np.diag(np.diag(matrix))
         gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max())))
-        top, drift = max(top, result.max_order), max(drift, result.norm_drift)
+        top, drift = max(top, order), max(drift, column_drift)
     return gates, {"max_order": top, "norm_drift": drift}
 
 

@@ -291,7 +291,7 @@ def triplet_rows() -> np.ndarray:
 _PLUS_COUNT = np.array([2.0, 1.0, 0.0])
 
 # the moving rows of each tier: its leading triplet rows. The RWA generator is diagonal
-# in the sigma_x basis, and its |--> rows ride along with |++> as their parity mirror
+# in the sigma_x basis, and its |--> rows are the parity mirror of the |++> rows
 # (evolve), so it moves |++> alone
 _MOVING_ROWS = {HamiltonianTier.RWA_EFFECTIVE: 1, HamiltonianTier.ROTATING_FRAME: 3, HamiltonianTier.FULL_EFFECTIVE: 3}
 

@@ -22,14 +22,15 @@ from .phase import CLOSURE_STEPS, solve_loop
 _CONVERGENCE_THRESHOLD = 1e-8
 
 # largest n_r0 * dim^2 of an rwa scan. Its rotating-tier gates are stepped one at a
-# time, each on the 3 dim triplet rows, so the scan's memory is that of one gate and
-# its time grows with the number of gates; below dim 8 the fixed cost of each gate
-# (about 0.35 ms) dominates, so dim counts as 8 there. Measured at the limit on a
-# one-loop circle with T = 1 (numpy 2.4, x86-64 Linux, 2 vCPUs, one BLAS thread):
-# 7 r0 values at dim 512 take 4.7 s and peak at 0.29 GB RSS stepping the columns
-# (20 steps each), and 37 s and 0.40 GB through step matrices (400 steps each);
-# 31 250 at dim 8 take 12-22 s and peak at 54 MB with 1, 6 or 64 steps each (64 is
-# MAX_SAMPLES steps in all)
+# time, each as three vacuum columns of the 3 dim triplet rows, so the scan's memory is
+# that of one gate and its time grows with the number of gates; below dim 8 the fixed
+# cost of each gate (about 0.4 ms) dominates, so dim counts as 8 there. Measured at the
+# limit on a one-loop circle with T = 1 (numpy 2.4, x86-64 Linux, 2 vCPUs, one BLAS
+# thread): 7 r0 values at dim 512 take 5.3 s and peak at 0.30 GB RSS stepping the
+# columns through the series with 20 steps each, and 66 s and 0.30 GB with 400 (the
+# series serves up to 512 steps there), and 49 s and 0.41 GB through step matrices
+# with 600; 31 250 at dim 8 take 13-19 s and peak at 56 MB with 1, 6, 8, 9 or 64 steps
+# each (64 is MAX_SAMPLES steps in all)
 MAX_SCAN_SIZE = 2_000_000
 
 

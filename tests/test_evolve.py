@@ -24,10 +24,14 @@ from loopgate import (
     vacuum,
 )
 from loopgate import evolve, gate
-from loopgate.evolve import StatePropagation, propagate_states
 from loopgate.model import hamiltonian_operators, hamiltonian_weights, triplet_rows
 from loopgate.phase import sample_loop
 from conftest import hamiltonian, random_closed_piecewise
+
+
+# the closed piecewise and sampled drives of the README configs
+README_PIECEWISE = PiecewiseConstant(segments=((1.0, 0.1 + 0j), (0.5, -0.2 + 0.1j), (1.0, -0.05j)))
+README_SAMPLED = Sampled(dt=0.5, values=(0.1 + 0j, 0.1j, -0.1 + 0j, -0.1j, 0.1 + 0j))
 
 
 def circle_phase(g0, nu, loops, lam=2):
@@ -109,7 +113,7 @@ class TestNumericPropagator:
         pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 5.0),)), T=3.0)
         space = FockSpace(8)
         start = np.eye(32, 1, dtype=complex)
-        final = propagate_states(HamiltonianTier.RWA_EFFECTIVE, pulse, space, start, 0.0, 3.0, 3.0).states
+        final = propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 0.0, 3.0, 3.0).unitary @ start
         exact = expm(-3j * hamiltonian(HamiltonianTier.RWA_EFFECTIVE, pulse, space, 1.5)) @ start
         assert np.abs(final - exact).max() < 1e-12
         # 0.7 times the old up-front limit 29!^(1/29), a generator whose series did not converge
@@ -119,24 +123,29 @@ class TestNumericPropagator:
         exact = expm(-1j * weights[0, 0] * operators[0]) @ np.ones(2)
         assert np.abs(block[:, 0] - exact).max() < 1e-13
 
-    @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
+    @pytest.mark.parametrize(
+        "tier", [HamiltonianTier.RWA_EFFECTIVE, HamiltonianTier.ROTATING_FRAME], ids=lambda tier: tier.value
+    )
     def test_states_path_matches_full_unitary(self, tier, standard_pulse):
-        # the two functions step different blocks: the identity of the moving rows, and the columns
+        # the gate steps the vacuum columns of the moving rows alone, and the propagator
+        # their identity: the gate is the propagator's branch-vacuum block, gauged
+        method = "numeric_rwa" if tier is HamiltonianTier.RWA_EFFECTIVE else "numeric_rotating"
         space = FockSpace(8)
-        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.0)
-        dt = pulse.T / 200
-        prop = propagate_numeric(tier, pulse, space, 0.0, pulse.T, dt)
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-        columns = np.hstack([columns, random_columns(np.random.default_rng(2), 4 * space.dim, 2)])
-        final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, dt).states
-        assert np.abs(final - prop.unitary @ columns).max() < 1e-12
+        for shape in (Circular(g0=0.1, nu=0.2, phase0=0.3), README_PIECEWISE, README_SAMPLED):
+            pulse = PulseSpec(shape, T=shape.natural_duration() or standard_pulse.T, r0=20.0)
+            report = gate_matrix(pulse, space, method=method, dt=0.002)
+            prop = propagate_numeric(tier, pulse, space, 0.0, pulse.T, 0.002)
+            block = columns.conj().T @ prop.unitary @ columns
+            assert np.abs(report.matrix - block / block[1, 1]).max() < 1e-12
 
     @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
     def test_qubit_factors_are_not_rebuilt_per_call(self, tier, standard_pulse, monkeypatch):
-        # a tier's qubit factors, their basis changes and their 2-norms are built once, on first use
+        # a tier's qubit factors, their basis changes and their 2-norms are built once, on
+        # first use, and the gate reads its matrix off the stepped columns without a kron
         space = FockSpace(6)
         pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.0)
-        columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
+        method = {HamiltonianTier.RWA_EFFECTIVE: "numeric_rwa", HamiltonianTier.ROTATING_FRAME: "numeric_rotating"}
         propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / 50)
 
         def refuse(*args, **kwargs):
@@ -145,18 +154,34 @@ class TestNumericPropagator:
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / 50)
-        propagate_states(tier, pulse, space, columns, 0.0, pulse.T, pulse.T / 50)
+        if tier in method:
+            gate_matrix(pulse, space, method=method[tier], dt=pulse.T / 400)
 
     def test_rwa_middle_branches_come_back_unchanged(self, standard_pulse):
-        # the branch basis change is exact on these columns, and the +- and -+ rows never move
-        space = FockSpace(6)
-        columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-        result = propagate_states(
-            HamiltonianTier.RWA_EFFECTIVE, standard_pulse, space, columns, 0.0, standard_pulse.T, 0.1
-        )
-        assert np.array_equal(result.states[:, 1:3], columns[:, 1:3])
-        assert 1 <= result.max_order < evolve.SERIES_TERMS
-        assert 0.0 <= result.norm_drift < 1e-12
+        # the +- and -+ rows never move, and the -- vacuum entry is the ++ one, since the
+        # vacuum has even parity: those entries are exact, not merely close
+        report = gate_matrix(standard_pulse, FockSpace(6), method="numeric_rwa", dt=0.1)
+        matrix = report.matrix
+        assert matrix[1, 1] == matrix[2, 2] == 1.0
+        assert np.array_equal(matrix - np.diag(np.diag(matrix)), np.zeros((4, 4)))
+        assert matrix[3, 3] == matrix[0, 0]
+        assert 1 <= report.max_order < evolve.SERIES_TERMS
+        assert 0.0 <= report.norm_drift < 1e-12
+
+    def test_gate_steps_only_the_vacuum_columns(self, standard_pulse, monkeypatch):
+        # one dim x 1 column on the RWA tier, three 3 dim x 3 triplet columns on the rotating tier
+        shapes = []
+        step_blocks = evolve._step_blocks
+
+        def spy(operators, norms, weights, h, block, *args):
+            shapes.append(np.shape(block))
+            return step_blocks(operators, norms, weights, h, block, *args)
+
+        monkeypatch.setattr(evolve, "_step_blocks", spy)
+        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=20.0)
+        gate_matrix(pulse, FockSpace(8), method="numeric_rwa", dt=0.004)
+        gate_matrix(pulse, FockSpace(8), method="numeric_rotating", dt=0.004)
+        assert shapes == [(8, 1), (24, 3)]
 
 
 class TestStepMatrixRuns:
@@ -210,11 +235,11 @@ class TestStepMatrixRuns:
         # one weight row serves all 200 000 steps: the stepper needs kilobytes, where
         # per-step weights, coefficients and run masks took tens of MB
         pulse = PulseSpec(g_shape=Circular(g0=0.2, nu=1.0), T=2 * math.pi, r0=20.0)
-        args = (HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), np.eye(16, 4), 0.0, pulse.T)
-        propagate_states(*args, pulse.T / 100)  # first-call allocations stay out of the count
+        args = (HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), 0.0, pulse.T)
+        propagate_numeric(*args, pulse.T / 100)  # first-call allocations stay out of the count
         tracemalloc.start()
         try:
-            propagate_states(*args, pulse.T / 200_000)
+            propagate_numeric(*args, pulse.T / 200_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -295,17 +320,8 @@ class TestExchangeSymmetry:
     """Only the moving rows are stepped, against the dense (4 dim)^2 table.
 
     The rotating and full tiers step the triplet rows, and the singlet never
-    moves; the RWA tier steps the ++ rows, and the -- rows as their parity mirror.
+    moves; the RWA tier steps the ++ rows, and places the -- rows as their parity mirror.
     """
-
-    @pytest.mark.parametrize("tier", [HamiltonianTier.ROTATING_FRAME, HamiltonianTier.FULL_EFFECTIVE])
-    def test_singlet_comes_back_bit_for_bit(self, tier, standard_pulse):
-        space = FockSpace(6)
-        pulse = PulseSpec(standard_pulse.g_shape, T=standard_pulse.T, r0=1.5)
-        singlet = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2)
-        columns = np.kron(singlet[:, None], random_columns(np.random.default_rng(5), space.dim, 3))
-        result = propagate_states(tier, pulse, space, columns, 0.0, 3.0, 0.05)
-        assert np.array_equal(result.states, columns)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -324,7 +340,7 @@ class TestExchangeSymmetry:
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=2.0, r0=r0)
         space = FockSpace(dim)
         columns = random_columns(np.random.default_rng(seed), 4 * dim, 3)
-        final = propagate_states(tier, pulse, space, columns, 0.0, 2.0, 2.0 / n_steps).states
+        final = propagate_numeric(tier, pulse, space, 0.0, 2.0, 2.0 / n_steps).unitary @ columns
         assert np.abs(final - dense_states(tier, pulse, space, columns, 2.0, 2.0 / n_steps)).max() < 1e-12
 
     @settings(max_examples=10, deadline=None)
@@ -341,7 +357,7 @@ class TestExchangeSymmetry:
         space = FockSpace(dim)
         columns = random_columns(rng, 4 * dim, 2)
         # one step per segment quantum keeps every corner on the grid
-        final = propagate_states(tier, pulse, space, columns, 0.0, pulse.T, 0.05).states
+        final = propagate_numeric(tier, pulse, space, 0.0, pulse.T, 0.05).unitary @ columns
         assert np.abs(final - dense_states(tier, pulse, space, columns, pulse.T, 0.05)).max() < 1e-12
 
 
@@ -369,7 +385,7 @@ class TestFrameChange:
 
         def misses(n_steps):
             full, rot = (
-                propagate_states(tier, pulse, space, columns, 0.0, t, t / n_steps).states
+                propagate_numeric(tier, pulse, space, 0.0, t, t / n_steps).unitary @ columns
                 for tier in (HamiltonianTier.FULL_EFFECTIVE, HamiltonianTier.ROTATING_FRAME)
             )
             return np.abs(frame(1) @ full - rot).max(), np.abs(frame(-1) @ full - rot).max()
@@ -409,19 +425,17 @@ class TestGuards:
     def test_substeps_share_the_step_budget(self, monkeypatch):
         # one step of generator norm bound 3 * 2 * 5 * sqrt(7) = 79.4 takes 32 substeps
         pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 5.0),)), T=3.0)
-        args = (HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(8), np.eye(32, 1), 0.0, 3.0, 3.0)
+        args = (HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(8), 0.0, 3.0, 3.0)
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 32)
-        propagate_states(*args)
+        propagate_numeric(*args)
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 31)
         with pytest.raises(SimulationGuard, match="32 substeps needed .* above the limit of 31"):
-            propagate_states(*args)
+            propagate_numeric(*args)
 
     def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
         monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
         with pytest.raises(NonUnitaryResultError, match="drifted"):
-            propagate_states(
-                HamiltonianTier.ROTATING_FRAME, standard_pulse, FockSpace(4), np.eye(16, 1), 0.0, 1.0, 0.1
-            )
+            gate_matrix(standard_pulse, FockSpace(4), method="numeric_rwa", dt=0.1)
 
     def test_nan_propagator_trips_the_unitarity_guard(self, standard_pulse, monkeypatch):
         monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
@@ -429,8 +443,8 @@ class TestGuards:
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
 
     def test_nan_states_trip_the_vacuum_return_guard(self, standard_pulse, monkeypatch):
-        nan_states = StatePropagation(np.full((32, 4), np.nan + 0j), 10, 1, 0.0)
-        monkeypatch.setattr(gate, "propagate_states", lambda *args: nan_states)
+        # the stepped columns keep their norms, but the gate read off their vacuum rows is nan
+        monkeypatch.setattr(gate, "_embed_moving_rows", lambda *args: np.full((4, 4), np.nan + 0j))
         with pytest.raises(NonUnitaryResultError, match="vacuum"):
             gate_matrix(standard_pulse, FockSpace(8), method="numeric_rwa")
 
@@ -609,9 +623,9 @@ class TestEngineAgreement:
         pulse = PulseSpec(g_shape=PiecewiseConstant(segments=segments), T=4.0)
         space = FockSpace(8)
         columns = np.kron(sigma_x_basis_change(), vacuum(space).reshape(-1, 1))
-        finals = propagate_states(
-            HamiltonianTier.RWA_EFFECTIVE, pulse, space, columns, 0.0, pulse.T, pulse.T / 4000
-        ).states
+        finals = propagate_numeric(
+            HamiltonianTier.RWA_EFFECTIVE, pulse, space, 0.0, pulse.T, pulse.T / 4000
+        ).unitary @ columns
         matrix = columns.conj().T @ finals
         # every corner sits on the grid, so the loop sum is the exact shoelace
         solution = solve_loop(pulse, 4000)

@@ -40,7 +40,7 @@ class TestRwaScan:
         def stepped(*args, **kwargs):
             raise AssertionError("a gate was stepped")
 
-        monkeypatch.setattr(gate, "propagate_states", stepped)
+        monkeypatch.setattr(gate, "_step_moving_rows", stepped)
         with pytest.raises(StepTooCoarseError):
             rwa_error_scan(short_pulse, [1.0, 2000.0], FockSpace(32), dt=1e-4)
 
@@ -56,7 +56,7 @@ class TestRwaScan:
         def stepped(*args, **kwargs):
             raise AssertionError("a gate was stepped")
 
-        monkeypatch.setattr(gate, "propagate_states", stepped)
+        monkeypatch.setattr(gate, "_step_moving_rows", stepped)
         with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
             rwa_error_scan(pulse, [0.2, 0.4, 0.6], FockSpace(4), dt)
 
