@@ -5,8 +5,9 @@ Sections:
 
     [pulse]   shape = circular | piecewise | sampled, plus shape fields,
               r0, T (optional for circular: defaults to loops * 2*pi/|nu|)
-    [raman]   optional channel parameters; derives r0 and, for circular
-              shapes, g0/phase0 defaults from the effective couplings
+    [raman]   optional rabi_p, rabi_s, rabi_g, kappa_e, delta_1, delta_2;
+              derives r0 and, for circular shapes, g0/phase0 defaults from
+              the effective couplings (two-photon resonance is assumed)
     [space]   dim
     [run]     method, dt, n_steps
     [output]  path, format

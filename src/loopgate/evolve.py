@@ -66,10 +66,12 @@ UNITARITY_TOL = 1e-8
 # a step series still above roundoff after this many terms is rejected
 SERIES_TERMS = 29
 # a step whose generator norm bound x exceeds this is split into ceil(x / SUBSTEP_NORM)
-# equal substeps, and the series then converges on every block: its tolerance asks
-# for a last term below 1e-16 / sqrt(m N) of an m x N block with N <= m (a wider one
-# goes through a step matrix, whose series runs on the m x m identity), and
-# 2.5^29 / 29! = 3.9e-20 is below 1e-16 / m for every m <= 3 MAX_DIM
+# equal substeps, so that SERIES_TERMS terms always suffice. The series on a block B
+# stops at the first term of squared Frobenius norm below its tolerance, and the term
+# of order k has norm at most x^k / k! |B|. At x <= 2.5, (2.5^29 / 29!)^2 = 1.54e-39:
+# on the m x m identity of a step matrix (|B|^2 = m), whose tolerance is 1e-32 / m,
+# that suffices for m < 2548, above 3 MAX_DIM = 1536; on N unit columns (|B|^2 = N),
+# whose tolerance is 1e-32, for N < 6.5e6
 SUBSTEP_NORM = 2.5
 
 
@@ -182,7 +184,8 @@ def _step_blocks(operators, norms, weights, h, block, frame=None, repeats=None):
         if length * parts * width > m:
             # one step matrix serves the whole run
             matrix = np.eye(m, dtype=complex)
-            top = max(top, _series(generator, matrix, 1e-32 / m))  # tol's rule on the identity
+            # 1e-32 / m: m times below tol's rule for the identity's unit columns (see SUBSTEP_NORM)
+            top = max(top, _series(generator, matrix, 1e-32 / m))
             matrix = np.linalg.matrix_power(matrix, parts)
             if spin is not None:
                 matrix *= spin

@@ -59,18 +59,15 @@ class HamiltonianTier(Enum):
 
 @dataclass(frozen=True)
 class RamanParams:
-    """Frequencies, drive amplitudes and detunings of the two Raman channels.
+    """Rabi amplitudes and single-photon detunings of the two Raman channels.
 
-    The amplitude fields hold the scalar dipole-field products directly; both
-    channels must satisfy two-photon resonance with the qubit splitting
-    omega_0, and both single-photon detunings must be nonzero.
+    The amplitude fields hold the scalar dipole-field products directly, and
+    both single-photon detunings must be nonzero. These are all that the
+    effective couplings read: adiabatic elimination of the excited state takes
+    each channel as two-photon resonant with the qubit splitting, so resonance
+    is an assumption of the effective model, not an input.
     """
 
-    omega_p: float
-    omega_s: float
-    omega_g: float
-    omega_c: float
-    omega_0: float
     rabi_p: complex
     rabi_s: complex
     rabi_g: complex
@@ -81,18 +78,6 @@ class RamanParams:
     def __post_init__(self):
         if not all(cmath.isfinite(value) for value in astuple(self)):
             raise ValueError("RamanParams fields must be finite")
-        scale = max(
-            1.0,
-            abs(self.omega_p),
-            abs(self.omega_s),
-            abs(self.omega_g),
-            abs(self.omega_c),
-            abs(self.omega_0),
-        )
-        if abs((self.omega_p - self.omega_s) - self.omega_0) > 1e-12 * scale:
-            raise ValueError("classical channel off two-photon resonance: omega_p - omega_s != omega_0")
-        if abs((self.omega_g - self.omega_c) - self.omega_0) > 1e-12 * scale:
-            raise ValueError("cavity channel off two-photon resonance: omega_g - omega_c != omega_0")
         if self.delta_1 == 0:
             raise ValueError("delta_1 must be nonzero")
         if self.delta_2 == 0:
@@ -100,7 +85,12 @@ class RamanParams:
 
 
 def effective_couplings(params: RamanParams) -> tuple[complex, complex]:
-    """Effective classical and quantum couplings (r, g) of the two Raman channels."""
+    """Effective classical and quantum couplings (r, g) of the two Raman channels.
+
+    r = -rabi_p conj(rabi_s) / delta_1 and g = -rabi_g conj(kappa_e) / delta_2,
+    the second-order couplings left once the excited state is eliminated from
+    two-photon resonant channels.
+    """
     r = -(complex(params.rabi_p) * complex(params.rabi_s).conjugate()) / params.delta_1
     g = -(complex(params.rabi_g) * complex(params.kappa_e).conjugate()) / params.delta_2
     return r, g

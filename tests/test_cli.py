@@ -34,6 +34,23 @@ n_steps = 65536
 # a valid circular pulse followed by an open [scan] section
 SCAN_PULSE = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\n"
 
+RAMAN_CONFIG = """\
+[pulse]
+shape = circular
+nu = 0.2
+
+[raman]
+rabi_p = 2.0
+rabi_s = 1.0
+rabi_g = 0.5
+kappa_e = 1.0
+delta_1 = -10.0
+delta_2 = 5.0
+
+[run]
+n_steps = 65536
+"""
+
 
 def write(path, text):
     path.write_text(text)
@@ -167,11 +184,24 @@ class TestConfigSyntax:
             (SCAN_PULSE + "kind = truncation\ndims = 8 16\nr0_values = 1 2\n", ["scan.r0_values: unknown key"]),
             (SCAN_PULSE + "kind = truncation\ndims = 8 16\ndim = 8\n", ["scan.dim: unknown key"]),
             ("[space]\ndim = 8\n", ["pulse: section is required"]),
+            # [raman] takes no channel frequencies: the effective couplings assume two-photon resonance
+            *(
+                (RAMAN_CONFIG.replace("[raman]\n", f"[raman]\n{key} = 1.0\n"), [f"raman.{key}: unknown key"])
+                for key in ("omega_p", "omega_s", "omega_g", "omega_c", "omega_0")
+            ),
+            (
+                RAMAN_CONFIG.replace("rabi_p = 2.0", "rabi_p = 2.0j"),
+                [
+                    "raman: derived classical coupling r is not real; "
+                    "gate operation requires a real constant classical drive"
+                ],
+            ),
         ],
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
             "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
-            "truncation-scan-dim", "no-pulse",
+            "truncation-scan-dim", "no-pulse", "raman-omega_p", "raman-omega_s", "raman-omega_g", "raman-omega_c",
+            "raman-omega_0", "raman-complex-r",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -186,10 +216,7 @@ class TestConfigSyntax:
         missing = [m.split(":")[0] for m in info.value.messages if m.endswith("required key is missing")]
         assert missing == [
             f"raman.{key}"
-            for key in (
-                "omega_p", "omega_s", "omega_g", "omega_c", "omega_0",
-                "rabi_p", "rabi_s", "rabi_g", "kappa_e", "delta_1", "delta_2",
-            )
+            for key in ("rabi_p", "rabi_s", "rabi_g", "kappa_e", "delta_1", "delta_2")
         ]
 
 
@@ -716,45 +743,37 @@ class TestSampledConfig:
 
 
 class TestRamanSection:
-    RAMAN = """\
-[pulse]
-shape = circular
-nu = 0.2
-
-[raman]
-omega_p = 101.0
-omega_s = 100.0
-omega_g = 51.0
-omega_c = 50.0
-omega_0 = 1.0
-rabi_p = 2.0
-rabi_s = 1.0
-rabi_g = 0.5
-kappa_e = 1.0
-delta_1 = -10.0
-delta_2 = 5.0
-
-[run]
-n_steps = 65536
-"""
+    # the README's piecewise and sampled drives, in place of the circular [pulse] lines
+    OTHER_SHAPES = {
+        "piecewise": "shape = piecewise\nsegments = 1.0 0.1+0j; 0.5 -0.2+0.1j; 1.0 -0.05j\n",
+        "sampled": "shape = sampled\ndt = 0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n",
+    }
 
     def test_derives_pulse_defaults(self, tmp_path):
-        cfg = write(tmp_path / "r.ini", self.RAMAN)
+        cfg = write(tmp_path / "r.ini", RAMAN_CONFIG)
         pulse = load_config(cfg).pulse
         # r = -(2*1)/(-10) = 0.2, g = -(0.5*1)/5 = -0.1 -> g0 = 0.1, phase0 = pi
         assert pulse.r0 == pytest.approx(0.2)
         assert pulse.g_shape.g0 == pytest.approx(0.1)
         assert pulse.g_shape.phase0 == pytest.approx(math.pi)
+        # a piecewise or sampled drive takes r0 from the couplings and keeps its own g(t)
+        for name, lines in self.OTHER_SHAPES.items():
+            text = RAMAN_CONFIG.replace("shape = circular\nnu = 0.2\n", lines)
+            pulse = load_config(write(tmp_path / f"{name}.ini", text)).pulse
+            alone = load_config(write(tmp_path / f"{name}_alone.ini", f"[pulse]\n{lines}")).pulse
+            assert pulse.r0 == pytest.approx(0.2)
+            assert alone.r0 == 0.0
+            assert pulse.g_shape == alone.g_shape
+            assert pulse.T == alone.T
 
     def test_negative_derived_r_is_diagnosed(self, tmp_path, capsys):
-        cfg = write(tmp_path / "r.ini", self.RAMAN.replace("delta_1 = -10.0", "delta_1 = 10.0"))
+        text = RAMAN_CONFIG.replace("delta_1 = -10.0", "delta_1 = 10.0")
+        cfg = write(tmp_path / "r.ini", text)
         assert cli.main(["phases", "--config", cfg]) == 1
         assert "negative" in capsys.readouterr().err
-
-    def test_off_resonance_is_diagnosed(self, tmp_path, capsys):
-        cfg = write(tmp_path / "r.ini", self.RAMAN.replace("omega_p = 101.0", "omega_p = 102.0"))
-        assert cli.main(["phases", "--config", cfg]) == 1
-        assert "resonance" in capsys.readouterr().err
+        # an explicit pulse.r0 wins over the negative derived r = -0.2
+        cfg = write(tmp_path / "r0.ini", text.replace("nu = 0.2\n", "nu = 0.2\nr0 = 0.3\n"))
+        assert load_config(cfg).pulse.r0 == 0.3
 
 
 GOLDEN_CONFIGS = {

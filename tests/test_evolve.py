@@ -24,7 +24,14 @@ from loopgate import (
     vacuum,
 )
 from loopgate import evolve, gate
-from loopgate.model import hamiltonian_operators, hamiltonian_weights, triplet_rows
+from loopgate.model import (
+    _MOVING_ROWS,
+    _PLUS_COUNT,
+    hamiltonian_operators,
+    hamiltonian_weights,
+    rest_frame,
+    triplet_rows,
+)
 from loopgate.phase import sample_loop
 from conftest import hamiltonian, random_closed_piecewise
 
@@ -395,6 +402,114 @@ class TestFrameChange:
         assert fine < 1e-4
         assert coarse / fine > 3.0
         assert wrong_sign > 0.1
+
+
+def rest_frame_gate(tier, pulse, space):
+    """Oracle: the exact propagator over [0, T] on the tier's moving rows, with no time step.
+
+    If H(t + s) = e^{i s D} H(t) e^{-i s D} for a diagonal D, then
+    U(t + tau) = e^{i tau D} e^{-i tau (H(t) + D)} U(t) solves i dU/dt = H U exactly.
+    A circle is one such factor, with D from :func:`rest_frame`; a piecewise drive
+    is one per segment, where only the fast phase turns: D = 2 r0 J on the
+    rotating tier and D = 0 on the others.
+    """
+    operators, _ = hamiltonian_operators(tier, space, moving=True)
+    if isinstance(pulse.g_shape, Circular):
+        frame = rest_frame(tier, pulse, space)
+        pieces = [(0.0, pulse.T)]
+    else:
+        fast = 2.0 * pulse.r0 if tier is HamiltonianTier.ROTATING_FRAME else 0.0
+        frame = np.repeat(fast * _PLUS_COUNT[: _MOVING_ROWS[tier]], space.dim)
+        durations = [d for d, _ in pulse.g_shape.segments]
+        # each segment's start, summed as the drive sums its bounds, so g(start) is its value
+        pieces = zip(np.concatenate(([0.0], np.cumsum(durations)[:-1])), durations)
+    exact = np.eye(len(frame), dtype=complex)
+    for start, tau in pieces:
+        generator = np.tensordot(hamiltonian_weights(tier, pulse, start)[0], operators, 1) + np.diag(frame)
+        exact = np.exp(1j * tau * frame)[:, None] * (expm(-1j * tau * generator) @ exact)
+    return exact
+
+
+def moving_block(tier, pulse, space, n_steps):
+    """The numeric propagator over [0, T] in n_steps steps, restricted to the tier's moving rows."""
+    rows = np.kron(triplet_rows()[:, : _MOVING_ROWS[tier]], np.eye(space.dim))
+    return rows.conj().T @ propagate_numeric(tier, pulse, space, 0.0, pulse.T, pulse.T / n_steps).unitary @ rows
+
+
+class TestRestFrameOracle:
+    """The numeric engine against the dt-free rest-frame exponential.
+
+    In the rest frame a midpoint step is the Strang splitting of
+    e^{-i h (H(0) + D)}, so a circle's whole time-step error is second order, and
+    a piecewise drive with D = 0 has none when every corner lies on the grid.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        ALL_TIERS,
+        st.floats(0.05, 0.4),
+        st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.2),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.0, 4.0),
+        st.integers(2, 8),
+    )
+    # the README circle at dim 12
+    @example(tier=HamiltonianTier.RWA_EFFECTIVE, g0=0.1, nu=0.2, phase0=0.0, r0=5.0, dim=12)
+    @example(tier=HamiltonianTier.ROTATING_FRAME, g0=0.1, nu=0.2, phase0=0.0, r0=5.0, dim=12)
+    @example(tier=HamiltonianTier.FULL_EFFECTIVE, g0=0.1, nu=0.2, phase0=0.0, r0=5.0, dim=12)
+    def test_circle_converges_at_second_order(self, tier, g0, nu, phase0, r0, dim):
+        pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=2 * math.pi / abs(nu), r0=r0)
+        space = FockSpace(dim)
+        exact = rest_frame_gate(tier, pulse, space)
+        # steps of h (||D|| + g0 ||a||) <= 0.05, inside the splitting's asymptotic range
+        rate = np.max(np.abs(rest_frame(tier, pulse, space))) + g0 * math.sqrt(dim - 1)
+        n_steps = math.ceil(pulse.T * rate / 0.05)
+        coarse, fine = (np.abs(moving_block(tier, pulse, space, n) - exact).max() for n in (n_steps, 2 * n_steps))
+        assert coarse > 1e-9  # far above roundoff, so the ratio is the splitting's
+        assert 3.5 <= coarse / fine <= 4.5
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from([HamiltonianTier.RWA_EFFECTIVE, HamiltonianTier.FULL_EFFECTIVE]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 20.0),
+        st.integers(2, 8),
+    )
+    def test_piecewise_on_the_grid_is_exact(self, tier, seed, r0, dim):
+        # a segment on the RWA and full tiers is one run of a constant generator
+        pulse, n_steps = random_closed_piecewise(np.random.default_rng(seed))
+        pulse = PulseSpec(pulse.g_shape, T=pulse.T, r0=r0)
+        space = FockSpace(dim)
+        exact = rest_frame_gate(tier, pulse, space)
+        assert np.abs(moving_block(tier, pulse, space, n_steps) - exact).max() < 1e-12
+
+    def test_readme_piecewise(self):
+        # exact on the RWA and full tiers at any grid that holds the corners, and second
+        # order on the rotating tier, whose fast phase turns within each segment
+        pulse = PulseSpec(README_PIECEWISE, T=README_PIECEWISE.natural_duration(), r0=20.0)
+        space = FockSpace(12)
+        for tier in (HamiltonianTier.RWA_EFFECTIVE, HamiltonianTier.FULL_EFFECTIVE):
+            exact = rest_frame_gate(tier, pulse, space)
+            for n_steps in (500, 2000):
+                assert np.abs(moving_block(tier, pulse, space, n_steps) - exact).max() < 1e-12
+        tier = HamiltonianTier.ROTATING_FRAME
+        exact = rest_frame_gate(tier, pulse, space)
+        coarse, fine = (np.abs(moving_block(tier, pulse, space, n) - exact).max() for n in (500, 1000))
+        assert coarse > 1e-9
+        assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize(
+        "shape", [Circular(g0=0.1, nu=0.2, phase0=0.3), README_PIECEWISE], ids=["circle", "piecewise"]
+    )
+    def test_rotating_oracle_is_the_full_oracle_in_the_drive_frame(self, shape):
+        # U_rot(T) = exp(i r0 T S_x) U_full(T), where S_x = sigma1_x + sigma2_x is
+        # diag(2, 0, -2) on the triplet rows: the interaction picture with no stepping at all
+        pulse = PulseSpec(shape, T=shape.natural_duration() or 2 * math.pi / 0.2, r0=5.0)
+        space = FockSpace(12)
+        full = rest_frame_gate(HamiltonianTier.FULL_EFFECTIVE, pulse, space)
+        rotating = rest_frame_gate(HamiltonianTier.ROTATING_FRAME, pulse, space)
+        frame = np.repeat(np.exp(1j * pulse.r0 * pulse.T * np.array([2.0, 0.0, -2.0])), space.dim)
+        assert np.abs(frame[:, None] * full - rotating).max() < 1e-12
 
 
 def nan_step_blocks(operators, norms, weights, h, block, frame=None, repeats=None):
