@@ -234,7 +234,7 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
         weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
     else:
         weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
-    moved, top = _step_blocks(*hamiltonian_operators(tier, space, moving=True), weights, h, start, frame, repeats)
+    moved, top = _step_blocks(*hamiltonian_operators(tier, space), weights, h, start, frame, repeats)
     return moved, n, top
 
 

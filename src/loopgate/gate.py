@@ -73,9 +73,9 @@ def gate_matrix(
     (T/4000 when None), read the 4x4 branch matrix off the vacuum rows of the
     stepped columns (every |branch> (x) |vacuum> amplitude that stays in
     vacuum), and report it gauged so the middle entries equal 1; the rotating
-    tier raises StepTooCoarseError
-    unless dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only
-    to the numeric methods and n_steps only to the analytic one.
+    tier raises StepTooCoarseError unless dt * r0 < 0.1 resolves its fast 2*r0
+    oscillation. dt applies only to the numeric methods and n_steps only to the
+    analytic one.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")

@@ -261,22 +261,6 @@ def sigma_x_basis_change() -> np.ndarray:
 # written in the sigma_x product basis
 _TRIPLET = np.array([[1, 0, 0], [0, math.sqrt(0.5), 0], [0, math.sqrt(0.5), 0], [0, 0, 1]])
 
-
-@functools.cache
-def _triplet_rows() -> np.ndarray:
-    """The bare-basis triplet columns, built on first use, since importing makes no BLAS call."""
-    return _BASIS_CHANGE @ _TRIPLET
-
-
-def triplet_rows() -> np.ndarray:
-    """Orthonormal bare-basis columns of the three exchange-symmetric two-qubit states.
-
-    Every tier treats the two atoms alike, so it keeps their span and never
-    moves the singlet (|+-> - |-+>)/sqrt(2).
-    """
-    return _triplet_rows().copy()
-
-
 # J, the number of + atoms on each triplet row: |++>, (|+-> + |-+>)/sqrt(2), |-->
 _PLUS_COUNT = np.array([2.0, 1.0, 0.0])
 
@@ -306,25 +290,25 @@ _TIER_TERMS = {
 
 @functools.cache
 def _terms(tier: HamiltonianTier) -> tuple:
-    """The tier's constant table: ((bare factor, 2-norm), (factor on the moving rows, 2-norm), Fock factor, weight).
+    """The tier's constant table: (factor on the moving rows, 2-norm, Fock factor) per term.
 
-    The bare factor of a term is op_1 + op_2; the moving one is restricted to
-    the tier's moving rows, and is [[2]] on the RWA tier. The table is built on
-    the first call for each tier and kept, so no gate rebuilds it. It is not
-    built at import, because the analytic commands make no BLAS or LAPACK call
-    and so never load those libraries' pages.
+    A term's factor is op_1 + op_2 restricted to the tier's moving rows: the
+    triplet rows on the rotating and full tiers, and the |++> row alone on the
+    RWA tier, where it is [[2]]. The table is built on the first call for each
+    tier and kept, so no gate rebuilds it. It is not built at import, because
+    the analytic commands make no BLAS or LAPACK call and so never load those
+    libraries' pages.
     """
     rows = _TRIPLET[:, : _MOVING_ROWS[tier]]
     table = []
-    for op, fock, weight in _TIER_TERMS[tier]:
+    for op, fock, _ in _TIER_TERMS[tier]:
         # op_1 + op_2 on the two-qubit factor, bare-basis ordering (gg, ge, eg, ee)
         bare = np.kron(op, np.eye(2)) + np.kron(np.eye(2), op)
         # through the sigma_x basis, where the factors have entries 0, +-1/2, +-1 and +-2,
         # so every zero of the restricted factor comes out exact
         moving = rows.T @ (_BASIS_CHANGE @ bare @ _BASIS_CHANGE) @ rows
-        # the 2-norm of each small factor: its largest singular value, from its Gram matrix
-        bare_norm, moving_norm = (math.sqrt(np.linalg.eigvalsh(q.conj().T @ q)[-1]) for q in (bare, moving))
-        table.append(((bare, bare_norm), (moving, moving_norm), fock, weight))
+        # the 2-norm of the small factor: its largest singular value, from its Gram matrix
+        table.append((moving, math.sqrt(np.linalg.eigvalsh(moving.conj().T @ moving)[-1]), fock))
     return tuple(table)
 
 
@@ -361,28 +345,23 @@ def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.nd
     return np.concatenate([weights, weights.conj()], axis=-1)
 
 
-def hamiltonian_operators(
-    tier: HamiltonianTier, space: FockSpace, moving: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tier's fixed operators kron(qubit factor, Fock factor) and their 2-norms; each term precedes its adjoint.
+def hamiltonian_operators(tier: HamiltonianTier, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The tier's fixed operators on its moving rows and their 2-norms; each term precedes its adjoint.
 
-    H(t_k) = sum_j hamiltonian_weights(...)[k, j] * operators[j]. With
-    ``moving`` every qubit factor is restricted to the tier's moving rows: the
-    columns of :func:`triplet_rows` on the rotating and full tiers, so the
-    operators are (3 dim)^2 instead of (4 dim)^2, and the |++> column alone on
-    the RWA tier, where they are 2 a and 2 a^dag. The qubit factors and their
-    2-norms come from the tier's table, built once, so only the Fock factor
-    is placed here. The 2-norm of a Kronecker product is the product of its
-    factors' 2-norms, and ||a|| = sqrt(dim - 1), so no norm of a full operator
-    is computed.
+    H(t_k) restricted to the moving rows is sum_j hamiltonian_weights(...)[k, j]
+    * operators[j], with operators[j] = kron(qubit factor, Fock factor): (3 dim)^2
+    on the triplet rows of the rotating and full tiers, and 2 a and 2 a^dag on
+    the |++> rows of the RWA tier. The qubit factors and their 2-norms come
+    from the tier's table, built once, so only the Fock factor is placed here.
+    The 2-norm of a Kronecker product is the product of its factors' 2-norms,
+    and ||a|| = sqrt(dim - 1), so no norm of a full operator is computed.
     """
     terms = _terms(tier)
     fock = {"a": (annihilation(space), math.sqrt(space.dim - 1)), "1": (np.eye(space.dim), 1.0)}
-    rows = _MOVING_ROWS[tier] if moving else 4
+    rows = _MOVING_ROWS[tier]
     operators = np.empty((2 * len(terms), rows * space.dim, rows * space.dim), dtype=complex)
     norms = np.empty(2 * len(terms))
-    for j, (bare, restricted, factor, _) in enumerate(terms):
-        qubit, qubit_norm = restricted if moving else bare
+    for j, (qubit, qubit_norm, factor) in enumerate(terms):
         matrix, norm = fock[factor]
         # the Kronecker product written in place: no second (rows dim)^2 array is made
         np.multiply(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from loopgate import Circular, PiecewiseConstant, PulseSpec
-from loopgate.model import hamiltonian_operators, hamiltonian_weights
+from loopgate import Circular, PiecewiseConstant, PulseSpec, annihilation, sigma_x_basis_change
+from loopgate.model import _TIER_TERMS, _TRIPLET, hamiltonian_weights
 
 # filled by the acceptance suite; printed after the run so the per-criterion
 # verdicts stay visible under captured output
@@ -47,6 +47,24 @@ def random_closed_piecewise(rng: np.random.Generator, quantum: float = 0.05):
     return pulse, n_steps
 
 
+def triplet_rows():
+    """Orthonormal bare-basis columns of the three exchange-symmetric two-qubit states."""
+    return sigma_x_basis_change() @ _TRIPLET
+
+
+def bare_operators(tier, space):
+    """The tier's dense (4 dim)^2 bare-basis operators kron(op_1 + op_2, Fock factor).
+
+    Each term precedes its adjoint, in the order of hamiltonian_weights'
+    columns, as in :func:`loopgate.model.hamiltonian_operators`.
+    """
+    fock = {"a": annihilation(space), "1": np.eye(space.dim)}
+    terms = [
+        np.kron(np.kron(op, np.eye(2)) + np.kron(np.eye(2), op), fock[factor]) for op, factor, _ in _TIER_TERMS[tier]
+    ]
+    return np.array(terms + [term.conj().T for term in terms])
+
+
 def hamiltonian(tier, pulse, space, t):
     """Dense bare-basis H(t) of one tier, summed from its operators and weights."""
-    return np.tensordot(hamiltonian_weights(tier, pulse, t)[0], hamiltonian_operators(tier, space)[0], 1)
+    return np.tensordot(hamiltonian_weights(tier, pulse, t)[0], bare_operators(tier, space), 1)

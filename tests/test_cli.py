@@ -184,6 +184,12 @@ class TestConfigSyntax:
             (SCAN_PULSE + "kind = truncation\ndims = 8 16\nr0_values = 1 2\n", ["scan.r0_values: unknown key"]),
             (SCAN_PULSE + "kind = truncation\ndims = 8 16\ndim = 8\n", ["scan.dim: unknown key"]),
             ("[space]\ndim = 8\n", ["pulse: section is required"]),
+            # loops is checked whether or not T is given
+            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nloops = 0\n", ["pulse.loops: must be >= 1"]),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nloops = 0\nT = 31.41592653589793\n",
+                ["pulse.loops: must be >= 1"],
+            ),
             # [raman] takes no channel frequencies: the effective couplings assume two-photon resonance
             *(
                 (RAMAN_CONFIG.replace("[raman]\n", f"[raman]\n{key} = 1.0\n"), [f"raman.{key}: unknown key"])
@@ -200,8 +206,8 @@ class TestConfigSyntax:
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
             "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
-            "truncation-scan-dim", "no-pulse", "raman-omega_p", "raman-omega_s", "raman-omega_g", "raman-omega_c",
-            "raman-omega_0", "raman-complex-r",
+            "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "raman-omega_p", "raman-omega_s",
+            "raman-omega_g", "raman-omega_c", "raman-omega_0", "raman-complex-r",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):

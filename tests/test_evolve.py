@@ -30,10 +30,9 @@ from loopgate.model import (
     hamiltonian_operators,
     hamiltonian_weights,
     rest_frame,
-    triplet_rows,
 )
 from loopgate.phase import sample_loop
-from conftest import hamiltonian, random_closed_piecewise
+from conftest import bare_operators, hamiltonian, random_closed_piecewise, triplet_rows
 
 
 # the closed piecewise and sampled drives of the README configs
@@ -315,7 +314,9 @@ def dense_states(tier, pulse, space, states, t1, dt):
     n = max(1, math.ceil(t1 / dt - 1e-9))
     h = t1 / n
     weights = hamiltonian_weights(tier, pulse, (np.arange(n) + 0.5) * h)
-    final, _ = evolve._step_blocks(*hamiltonian_operators(tier, space), weights, h, states)
+    operators = bare_operators(tier, space)
+    norms = np.linalg.norm(operators, ord=2, axis=(1, 2))
+    final, _ = evolve._step_blocks(operators, norms, weights, h, states)
     return final
 
 
@@ -413,7 +414,7 @@ def rest_frame_gate(tier, pulse, space):
     is one per segment, where only the fast phase turns: D = 2 r0 J on the
     rotating tier and D = 0 on the others.
     """
-    operators, _ = hamiltonian_operators(tier, space, moving=True)
+    operators, _ = hamiltonian_operators(tier, space)
     if isinstance(pulse.g_shape, Circular):
         frame = rest_frame(tier, pulse, space)
         pieces = [(0.0, pulse.T)]

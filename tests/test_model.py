@@ -24,9 +24,8 @@ from loopgate.model import (
     hamiltonian_operators,
     hamiltonian_weights,
     rest_frame,
-    triplet_rows,
 )
-from conftest import hamiltonian
+from conftest import bare_operators, hamiltonian, triplet_rows
 
 
 def make_raman(**overrides):
@@ -246,12 +245,15 @@ class TestHamiltonians:
         assert np.abs(avg - hamiltonian(RWA, pulse, SPACE, 0.0)).max() < 1e-13
 
     @pytest.mark.parametrize("dim", [2, 3, 16])
-    # the "triplet" id is the moving-rows table: the triplet rows, or |++> alone on the RWA tier
+    # "triplet" checks the norms against the moving-row operators they belong to; "bare" checks
+    # them against the dense (4 dim)^2 operators, so restricting to the moving rows loses no norm
     @pytest.mark.parametrize("moving", [False, True], ids=["bare", "triplet"])
     @pytest.mark.parametrize("tier", list(HamiltonianTier), ids=lambda tier: tier.value)
     def test_operator_norms_are_the_svd_norms(self, tier, moving, dim):
         # each operator is kron(qubit factor, Fock factor), so its 2-norm is the product of theirs
-        operators, norms = hamiltonian_operators(tier, FockSpace(dim), moving)
+        operators, norms = hamiltonian_operators(tier, FockSpace(dim))
+        if not moving:
+            operators = bare_operators(tier, FockSpace(dim))
         np.testing.assert_allclose(norms, np.linalg.norm(operators, ord=2, axis=(1, 2)), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("dim", [2, 5])
@@ -263,8 +265,8 @@ class TestHamiltonians:
     def test_moving_operators_restrict_the_bare_ones(self, tier, rows, dim):
         # the moving table is the bare one seen through Q = moving rows (x) I_dim
         q = np.kron(rows, np.eye(dim))
-        bare, _ = hamiltonian_operators(tier, FockSpace(dim))
-        moving, _ = hamiltonian_operators(tier, FockSpace(dim), moving=True)
+        bare = bare_operators(tier, FockSpace(dim))
+        moving, _ = hamiltonian_operators(tier, FockSpace(dim))
         assert moving.shape == (len(bare), q.shape[1], q.shape[1])
         assert np.abs(q.conj().T @ bare @ q - moving).max() < 1e-15
 
@@ -283,7 +285,7 @@ class TestHamiltonians:
     def test_rest_frame_carries_the_circular_generator(self, tier, g0, nu, phase0, r0, t, s):
         # H(t + s) = e^{i s D} H(t) e^{-i s D} on the tier's moving rows, D diagonal
         pulse = PulseSpec(g_shape=Circular(g0=g0, nu=nu, phase0=phase0), T=6.0, r0=r0)
-        operators, _ = hamiltonian_operators(tier, SPACE, moving=True)
+        operators, _ = hamiltonian_operators(tier, SPACE)
         later, now = (np.tensordot(hamiltonian_weights(tier, pulse, x)[0], operators, 1) for x in (t + s, t))
         turn = np.exp(1j * s * rest_frame(tier, pulse, SPACE))
         assert np.abs(turn[:, None] * now * turn.conj() - later).max() < 1e-13
