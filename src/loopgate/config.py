@@ -260,15 +260,17 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
         if None in (g0, nu, loops):
             reader.warn_unknown("pulse")
             return None
-        # loops is checked even when T is given, where it derives nothing
+        # loops and nu are checked even when T is given, where they derive nothing
         loops_ok = reader.check(loops >= 1, "pulse.loops", "must be >= 1")
-        if T is None and reader.check(nu != 0, "pulse.nu", "must be nonzero") and loops_ok:
+        nu_ok = reader.check(nu != 0, "pulse.nu", "must be nonzero")
+        if T is None and nu_ok and loops_ok:
             # a float product overflows to inf, which PulseSpec refuses; an int one raises
             T = float(loops) * 2 * math.pi / abs(nu)
-        try:
-            shape = Circular(g0=g0, nu=nu, phase0=phase0)
-        except ValueError as exc:
-            reader.errors.append(f"pulse: {exc}")
+        if nu_ok:
+            try:
+                shape = Circular(g0=g0, nu=nu, phase0=phase0)
+            except ValueError as exc:
+                reader.errors.append(f"pulse: {exc}")
     elif shape_name == "piecewise":
         segments = reader.get("pulse", "segments", parse_segments, required=True)
         if segments is not None:

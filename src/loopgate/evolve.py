@@ -15,9 +15,10 @@ full propagator (:func:`propagate_numeric`) is the stepped identity of the
 moving rows, and the numeric gate (:mod:`loopgate.gate`) their stepped vacuum
 columns; both are placed on all four qubit rows by one embedding,
 I + Q (X - I) Q^dag, so no product with a 4 dim side is formed.
-It refuses more than MAX_SAMPLES steps before building any array
-(:func:`step_count`); the scalar loop engine in :mod:`loopgate.phase` needs no
-matrices and shares that budget.
+It refuses more than MAX_SAMPLES steps, over one propagation or over all the
+numeric gates of one command together, before building any array
+(:func:`step_count`); the budget is that of the scalar loop engine in
+:mod:`loopgate.phase`, which needs no matrices.
 
 The steps are walked in runs of consecutive steps with exactly equal weights.
 A run of L steps on an m x N block goes through one step matrix W, the step
@@ -52,13 +53,7 @@ from .model import (
     rest_frame,
     sigma_x_basis_change,
 )
-
-# longest time grid of one propagation, and of all the gates of one scan together
-# (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on the
-# rotating tier for a sampled drive, and 100 bytes per phase.solve_loop sample
-# (numpy 2.4, x86-64 Linux), so a run at the limit stays under 1 GB; a circular
-# drive's steps share one weight row (a million of them at dim 4 peak at 31 MB)
-MAX_SAMPLES = 2_000_000
+from .phase import MAX_SAMPLES
 
 # the step product stays unitary to roundoff; anything above this signals misuse
 UNITARITY_TOL = 1e-8
@@ -86,8 +81,6 @@ class NumericPropagation:
     """
 
     unitary: np.ndarray
-    method: str
-    step_count: int
     max_order: int
     unitarity_defect: float
 
@@ -223,7 +216,7 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
     The moving rows are the dim |++> cavity rows on the RWA tier and the 3 dim
     triplet rows on the rotating and full tiers; every tier takes its operators
     on them, and its rest frame, from :mod:`loopgate.model` alike. Returns the
-    stepped block, the step count and the largest series order used.
+    stepped block and the largest series order used.
     """
     n = step_count(t0, t1, dt, pulse.T)
     h = (t1 - t0) / n
@@ -234,8 +227,7 @@ def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
         weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
     else:
         weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
-    moved, top = _step_blocks(*hamiltonian_operators(tier, space), weights, h, start, frame, repeats)
-    return moved, n, top
+    return _step_blocks(*hamiltonian_operators(tier, space), weights, h, start, frame, repeats)
 
 
 def _embed_moving_rows(block, size, basis):
@@ -278,7 +270,7 @@ def propagate_numeric(
     The stepped block is placed by :func:`_embed_moving_rows`.
     """
     eye = np.eye(_MOVING_ROWS[tier] * space.dim)
-    block, n, top = _step_moving_rows(tier, pulse, space, eye, t0, t1, dt)
+    block, top = _step_moving_rows(tier, pulse, space, eye, t0, t1, dt)
     # the -- block P X P of the RWA tier has the same defect, since P only flips signs
     defect = float(np.abs(block.conj().T @ block - eye).max())
     if not (defect <= UNITARITY_TOL):
@@ -287,4 +279,4 @@ def propagate_numeric(
             "reduce dt or enlarge the Fock space"
         )
     unitary = _embed_moving_rows(block, space.dim, sigma_x_basis_change())
-    return NumericPropagation(unitary, tier.value, n, top, defect)
+    return NumericPropagation(unitary, top, defect)

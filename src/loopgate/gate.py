@@ -68,14 +68,11 @@ def gate_matrix(
     one closure verdict: solve_loop refuses an open loop (gate phases are only
     defined for cyclic evolutions) or an overflowing drive. The analytic
     method is the ideal gate of the ++ total phase on n_steps intervals,
-    solved without a second closure check. The numeric methods step the
-    vacuum column of each moving row on the requested tier with step dt
-    (T/4000 when None), read the 4x4 branch matrix off the vacuum rows of the
-    stepped columns (every |branch> (x) |vacuum> amplitude that stays in
-    vacuum), and report it gauged so the middle entries equal 1; the rotating
-    tier raises StepTooCoarseError unless dt * r0 < 0.1 resolves its fast 2*r0
-    oscillation. dt applies only to the numeric methods and n_steps only to the
-    analytic one.
+    solved without a second closure check. A numeric method is one job on its
+    tier for the numeric gate path (:func:`_numeric_gates`), with step dt
+    (T/4000 when None); the rotating tier raises StepTooCoarseError unless
+    dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only to the
+    numeric methods and n_steps only to the analytic one.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")
@@ -84,54 +81,57 @@ def gate_matrix(
 
     if method == "analytic":
         extracted = solve_loop(pulse, n_steps, require_closed=False).breakdown("++").gamma_total
-        matrix = ideal_gate(extracted)
-        diagonality = 0.0
-        health = {}
+        matrix, diagonality, max_order, norm_drift = ideal_gate(extracted), 0.0, 0, 0.0
     else:
-        [(matrix, extracted, diagonality)], health = _numeric_gates([pulse], space, method, dt)
+        tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
+        [(matrix, extracted, diagonality, max_order, norm_drift)] = _numeric_gates([(tier, pulse, space)], dt)
 
-    fidelity = gate_fidelity(matrix, ideal_gate(extracted))
     return GateReport(
         matrix=matrix,
         extracted_gamma=extracted,
         diagonality_residual=diagonality,
         closure_residual=closure_residual,
-        fidelity=fidelity,
+        fidelity=gate_fidelity(matrix, ideal_gate(extracted)),
         nontrivial=nontriviality(extracted),
         method=method,
-        **health,
+        max_order=max_order,
+        norm_drift=norm_drift,
     )
 
 
-def _numeric_gates(pulses, space, method, dt):
-    """(matrix, gamma, diagonality) per pulse, and the largest max_order and norm_drift over the pulses.
+def _numeric_gates(jobs, dt):
+    """(matrix, gamma, diagonality, max_order, norm_drift) of each (tier, pulse, space) job, in order.
 
-    The pulses share T, dt and one step budget. Every precondition is judged
-    before the first pulse is stepped; then the pulses are stepped one at a time.
+    The one home of every numeric gate's preconditions. The jobs share T and
+    dt (T/4000 when None). Before the first job is stepped, every
+    rotating-tier job must resolve its 2*r0 oscillation and the steps of all
+    the jobs together must fit MAX_SAMPLES. Then the jobs are stepped one at a
+    time: each steps the vacuum column of each moving row, refuses a norm
+    drift of those columns above UNITARITY_TOL, and reads the 4x4 branch
+    matrix off their vacuum rows (every |branch> (x) |vacuum> amplitude that
+    stays in vacuum), gauged so the middle entries equal 1.
     """
-    tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
-    T = pulses[0].T
-    if dt is None:
-        dt = T / 4000
-    max_r0 = max(pulse.r0 for pulse in pulses)
+    T = jobs[0][1].T
+    dt = T / 4000 if dt is None else dt
     # only the rotating tier keeps the 2*r0 oscillation; "not <" refuses an overflowing product too
-    if tier is HamiltonianTier.ROTATING_FRAME and not (dt * max_r0 < _STEP_RESOLUTION_LIMIT):
+    rotating_r0 = [pulse.r0 for tier, pulse, _ in jobs if tier is HamiltonianTier.ROTATING_FRAME]
+    if rotating_r0 and not (dt * max(rotating_r0) < _STEP_RESOLUTION_LIMIT):
         raise StepTooCoarseError(
-            f"dt * max(r0) = {dt * max_r0:.3g} >= {_STEP_RESOLUTION_LIMIT}; "
+            f"dt * max(r0) = {dt * max(rotating_r0):.3g} >= {_STEP_RESOLUTION_LIMIT}; "
             "the 2*r0 oscillation would be unresolved; reduce dt"
         )
-    step_count(0.0, T, dt, T, copies=len(pulses))
-    # the vacuum column of each moving row: the ++ row on the RWA tier, the triplet rows otherwise
-    rows = _MOVING_ROWS[tier]
-    start = np.zeros((rows * space.dim, rows))
-    start[:: space.dim] = np.eye(rows)
-    gates, top, drift = [], 0, 0.0
-    for pulse in pulses:
-        moved, _, order = _step_moving_rows(tier, pulse, space, start, 0.0, T, dt)
-        column_drift = float(np.max(np.abs(np.linalg.norm(moved, axis=0) - 1.0)))
-        if not (column_drift <= UNITARITY_TOL):
+    step_count(0.0, T, dt, T, copies=len(jobs))
+    gates = []
+    for tier, pulse, space in jobs:
+        # the vacuum column of each moving row: the ++ row on the RWA tier, the triplet rows otherwise
+        rows = _MOVING_ROWS[tier]
+        start = np.zeros((rows * space.dim, rows))
+        start[:: space.dim] = np.eye(rows)
+        moved, order = _step_moving_rows(tier, pulse, space, start, 0.0, T, dt)
+        drift = float(np.max(np.abs(np.linalg.norm(moved, axis=0) - 1.0)))
+        if not (drift <= UNITARITY_TOL):
             raise NonUnitaryResultError(
-                f"state norms drifted by {column_drift:.3e}; reduce dt or enlarge the Fock space"
+                f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space"
             )
         # the vacuum rows of the stepped columns, on all four branches; the RWA -- entry is
         # the ++ entry, since the vacuum has even parity
@@ -144,9 +144,8 @@ def _numeric_gates(pulses, space, method, dt):
             )
         matrix = matrix / matrix[1, 1]
         off = matrix - np.diag(np.diag(matrix))
-        gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max())))
-        top, drift = max(top, order), max(drift, column_drift)
-    return gates, {"max_order": top, "norm_drift": drift}
+        gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max()), order, drift))
+    return gates
 
 
 def design_circular_pulse(

@@ -26,8 +26,14 @@ import numpy as np
 
 from .design import DEFAULT_PHASE_STEPS
 from .errors import OpenLoopError, SimulationGuard
-from .evolve import MAX_SAMPLES
 from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
+
+# longest time grid of one propagation, and of all the numeric gates of one command
+# together (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on
+# the rotating tier for a sampled drive, and 100 bytes per solve_loop sample (numpy 2.4,
+# x86-64 Linux), so a run at the limit stays under 1 GB; a circular drive's steps share
+# one weight row (a million of them at dim 4 peak at 31 MB)
+MAX_SAMPLES = 2_000_000
 
 # the resolution of every gate's closure verdict, numeric scans included
 CLOSURE_STEPS = 20_000

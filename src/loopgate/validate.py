@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .errors import SimulationGuard, TruncationGuardError
 from .fock import FockSpace
 from .gate import _numeric_gates, gate_fidelity, ideal_gate
-from .model import PulseSpec
+from .model import HamiltonianTier, PulseSpec
 from .phase import CLOSURE_STEPS, solve_loop
 
 _CONVERGENCE_THRESHOLD = 1e-8
@@ -30,7 +30,8 @@ _CONVERGENCE_THRESHOLD = 1e-8
 # columns through the series with 20 steps each, and 66 s and 0.30 GB with 400 (the
 # series serves up to 512 steps there), and 49 s and 0.41 GB through step matrices
 # with 600; 31 250 at dim 8 take 13-19 s and peak at 56 MB with 1, 6, 8, 9 or 64 steps
-# each (64 is MAX_SAMPLES steps in all)
+# each (at 64, the steps of all the gates, the reference included, are just above
+# MAX_SAMPLES)
 MAX_SCAN_SIZE = 2_000_000
 
 
@@ -63,10 +64,11 @@ def rwa_error_scan(
 
     One solve_loop on CLOSURE_STEPS intervals is the closure verdict of every
     gate: it refuses an open or overflowing loop before anything is stepped.
-    The rotating-frame gates come next, through the numeric gate path: it
-    refuses the scan unless dt * max(r0) < 0.1 and their steps together fit
-    MAX_SAMPLES, and only then steps them one at a time. The strong-driving
-    gate does not depend on r0 and is stepped last, once.
+    Every gate is then one job of a single batch on the numeric gate path:
+    the rotating-frame gate of each r0, then the strong-driving gate, which
+    does not depend on r0 and is stepped last, once. The batch refuses the
+    scan unless dt * max(r0) < 0.1 and the steps of all its gates together fit
+    MAX_SAMPLES, before any gate is stepped.
     monotone_flag records whether infidelity never increases along the scan.
     """
     values = [float(v) for v in r0_values]
@@ -84,9 +86,9 @@ def rwa_error_scan(
         )
     # the closure verdict of every gate below, judged before anything is stepped
     solve_loop(pulse, CLOSURE_STEPS)
-    # every r0 shares T and dt, and the rotating-frame gates share one step budget
-    gates, _ = _numeric_gates([replace(pulse, r0=r0) for r0 in values], space, "numeric_rotating", dt)
-    [(reference, reference_gamma, _)], _ = _numeric_gates([pulse], space, "numeric_rwa", dt)
+    jobs = [(HamiltonianTier.ROTATING_FRAME, replace(pulse, r0=r0), space) for r0 in values]
+    jobs.append((HamiltonianTier.RWA_EFFECTIVE, pulse, space))
+    *gates, (reference, reference_gamma, *_) = _numeric_gates(jobs, dt)
     rows = [
         ScanRow(
             parameter_value=r0,
@@ -94,7 +96,7 @@ def rwa_error_scan(
             diagonality_residual=diagonality,
             phase_error=_wrapped_phase_distance(gamma, reference_gamma),
         )
-        for r0, (matrix, gamma, diagonality) in zip(values, gates)
+        for r0, (matrix, gamma, diagonality, *_) in zip(values, gates)
     ]
     monotone = all(b.infidelity <= a.infidelity for a, b in zip(rows, rows[1:]))
     return ValidationReport(rows=tuple(rows), monotone_flag=monotone, kind="rwa")
@@ -108,6 +110,8 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
     the phase drift from the previous dim. One solve_loop on CLOSURE_STEPS
     intervals is the closure verdict of every dim's RWA-tier gate, and its
     max|alpha| sets the floor every dim must meet: dim >= 4 * max|alpha|^2.
+    The gates are one batch on the numeric gate path, one job per dim, so the
+    steps of all of them together must fit MAX_SAMPLES before any is stepped.
     monotone_flag records whether the final drift is below the convergence
     threshold.
     """
@@ -123,12 +127,12 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
         raise TruncationGuardError(
             f"every dim must be >= 4 * max|alpha|^2 = {floor:.3g}; got {dims}"
         )
-    spaces = [FockSpace(d) for d in dims]
-    gates = []
-    for space in spaces:
-        [(matrix, gamma, diagonality)], _ = _numeric_gates([pulse], space, "numeric_rwa", dt)
-        # the fidelity gate_matrix reports: the overlap with the ideal gate of its own phase
-        gates.append((gate_fidelity(matrix, ideal_gate(gamma)), gamma, diagonality))
+    jobs = [(HamiltonianTier.RWA_EFFECTIVE, pulse, FockSpace(d)) for d in dims]
+    # the fidelity gate_matrix reports: the overlap with the ideal gate of its own phase
+    gates = [
+        (gate_fidelity(matrix, ideal_gate(gamma)), gamma, diagonality)
+        for matrix, gamma, diagonality, *_ in _numeric_gates(jobs, dt)
+    ]
     # the first dim is compared with itself, which gives exactly 0 for both drifts
     rows = [
         ScanRow(

@@ -190,6 +190,9 @@ class TestConfigSyntax:
                 "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nloops = 0\nT = 31.41592653589793\n",
                 ["pulse.loops: must be >= 1"],
             ),
+            # nu is checked whether or not T is given, and no Circular is built past that check
+            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\n", ["pulse.nu: must be nonzero"]),
+            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\nT = 31.41592653589793\n", ["pulse.nu: must be nonzero"]),
             # [raman] takes no channel frequencies: the effective couplings assume two-photon resonance
             *(
                 (RAMAN_CONFIG.replace("[raman]\n", f"[raman]\n{key} = 1.0\n"), [f"raman.{key}: unknown key"])
@@ -206,8 +209,8 @@ class TestConfigSyntax:
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
             "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
-            "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "raman-omega_p", "raman-omega_s",
-            "raman-omega_g", "raman-omega_c", "raman-omega_0", "raman-complex-r",
+            "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "nu-zero", "nu-zero-with-T", "raman-omega_p",
+            "raman-omega_s", "raman-omega_g", "raman-omega_c", "raman-omega_0", "raman-complex-r",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -946,9 +949,9 @@ def test_import_loads_no_scipy():
 
 
 def imported_modules(importtime_stderr):
-    """Top-level module names in -X importtime output."""
+    """Module names in -X importtime output; a package is listed before any of its submodules."""
     lines = [line for line in importtime_stderr.splitlines() if line.startswith("import time:")]
-    return {line.rsplit("|", 1)[1].strip().split(".")[0] for line in lines[1:]}
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
 
 
 DESIGN_PI_2 = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nphase0 = 0.0\nr0 = 0.0\nT = 31.41592653589793\nloops = 1\n"
@@ -977,6 +980,18 @@ def test_commands_that_compute_nothing_load_no_numpy(argv, code, out, err):
     modules = imported_modules(result.stderr)
     assert "loopgate" in modules
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "command,section", [("phases", ""), ("sweep", "\n[sweep]\nr0 = 0 1\n")], ids=["phases", "sweep"]
+)
+def test_scalar_commands_load_no_matrix_engine(tmp_path, command, section):
+    cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG + section)
+    result = run_child(["-X", "importtime", "-m", "loopgate.cli", command, "--config", cfg])
+    assert result.returncode == 0, result.stderr
+    modules = imported_modules(result.stderr)
+    assert "loopgate.phase" in modules
+    assert "loopgate.evolve" not in modules
 
 
 # the names the package exported before its exports became lazy

@@ -45,9 +45,9 @@ class TestRwaScan:
             rwa_error_scan(short_pulse, [1.0, 2000.0], FockSpace(32), dt=1e-4)
 
     def test_r0_values_share_the_step_budget(self, monkeypatch):
-        # 50 steps fit a budget of 100 for one gate; the three gates of a scan do not,
-        # and that is judged before any gate is stepped. A weak drive returns to vacuum
-        # at r0 below the drive frequency
+        # 50 steps fit a budget of 100 for one rotating-frame gate and the reference; the
+        # three gates of a scan and the reference do not, and that is judged before any
+        # gate is stepped. A weak drive returns to vacuum at r0 below the drive frequency
         pulse = PulseSpec(g_shape=Circular(g0=0.01, nu=1.0), T=2 * math.pi)
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
         dt = pulse.T / 50
@@ -57,7 +57,7 @@ class TestRwaScan:
             raise AssertionError("a gate was stepped")
 
         monkeypatch.setattr(gate, "_step_moving_rows", stepped)
-        with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
+        with pytest.raises(SimulationGuard, match="200 steps requested, above the limit of 100"):
             rwa_error_scan(pulse, [0.2, 0.4, 0.6], FockSpace(4), dt)
 
     def test_peak_memory_does_not_grow_with_the_r0_count(self):
@@ -178,6 +178,20 @@ class TestTruncationScan:
         report = truncation_scan(short_pulse, [8], dt=0.01)
         assert len(report.rows) == 1
         assert report.monotone_flag is True
+
+    def test_dims_share_the_step_budget(self, short_pulse, monkeypatch):
+        # 50 steps fit a budget of 100 for two dims; three dims do not, and that is
+        # judged before any gate is stepped
+        monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
+        dt = short_pulse.T / 50
+        truncation_scan(short_pulse, [6, 8], dt)
+
+        def stepped(*args, **kwargs):
+            raise AssertionError("a gate was stepped")
+
+        monkeypatch.setattr(gate, "_step_moving_rows", stepped)
+        with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
+            truncation_scan(short_pulse, [6, 8, 12], dt)
 
     def test_rows_match_gate_matrix_reports(self, short_pulse):
         dims, dt = [6, 8, 12], 0.01
