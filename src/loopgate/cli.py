@@ -16,7 +16,6 @@ no numpy. The ``loopgate`` command defaults OPENBLAS_NUM_THREADS to 1.
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -85,6 +84,9 @@ def _emit_rows(cfg: RunConfig, rows: list[dict], payload: dict | None = None) ->
         lines = [",".join(header), *(",".join(_fmt(row[key]) for key in header) for row in rows)]
         text = "\n".join(lines) + "\n"
     else:
+        # only JSON output loads the json module, so a CSV run does not pay for its import
+        import json
+
         payload = {"rows": rows} if payload is None else payload
         text = json.dumps(_json_ready(payload), indent=2) + "\n"
     _emit(cfg.out_path, text)
@@ -207,11 +209,17 @@ def cmd_sweep(args) -> int:
             f"sweep: grid has {total} points, above max_points = {cfg.sweep.max_points}"
         )
     rows = []
+    solutions = {}
     for combo in itertools.product(*grids):
         pulse = cfg.pulse
         for name, value in zip(fields, combo):
             pulse = _sweep_pulse(pulse, name, value)
-        solution = solve_loop(pulse, cfg.n_steps, require_closed=False)
+        # solve_loop never reads r0, so points that differ only in r0 share one solve; the
+        # key holds the bits of the other values, so 0.0 and -0.0 are different points
+        key = tuple(float(value).hex() for name, value in zip(fields, combo) if name != "r0")
+        if key not in solutions:
+            solutions[key] = solve_loop(pulse, cfg.n_steps, require_closed=False)
+        solution = solutions[key]
         breakdown = solution.breakdown("++")
         rows.append(
             {

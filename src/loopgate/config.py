@@ -260,13 +260,14 @@ def _build_pulse(reader: _Reader) -> PulseSpec | None:
         if None in (g0, nu, loops):
             reader.warn_unknown("pulse")
             return None
-        # loops and nu are checked even when T is given, where they derive nothing
+        # g0, loops and nu are checked even when T is given, where loops and nu derive nothing
+        g0_ok = reader.check(g0 > 0, "pulse.g0", "must be > 0")
         loops_ok = reader.check(loops >= 1, "pulse.loops", "must be >= 1")
         nu_ok = reader.check(nu != 0, "pulse.nu", "must be nonzero")
         if T is None and nu_ok and loops_ok:
             # a float product overflows to inf, which PulseSpec refuses; an int one raises
             T = float(loops) * 2 * math.pi / abs(nu)
-        if nu_ok:
+        if g0_ok and nu_ok:
             try:
                 shape = Circular(g0=g0, nu=nu, phase0=phase0)
             except ValueError as exc:

@@ -26,13 +26,14 @@ import numpy as np
 
 from .design import DEFAULT_PHASE_STEPS
 from .errors import OpenLoopError, SimulationGuard
-from .model import PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
+from .model import Circular, PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral, halved
 
 # longest time grid of one propagation, and of all the numeric gates of one command
 # together (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on
-# the rotating tier for a sampled drive, and 100 bytes per solve_loop sample (numpy 2.4,
-# x86-64 Linux), so a run at the limit stays under 1 GB; a circular drive's steps share
-# one weight row (a million of them at dim 4 peak at 31 MB)
+# the rotating tier for a sampled drive, and 96 bytes per solve_loop sample of a circular
+# drive, 16 of them the unit phasor kept for the next solve on the grid (numpy 2.4, x86-64
+# Linux), so a run at the limit stays under 1 GB; a circular drive's steps share one
+# weight row (a million of them at dim 4 peak at 31 MB)
 MAX_SAMPLES = 2_000_000
 
 # the resolution of every gate's closure verdict, numeric scans included
@@ -41,12 +42,32 @@ CLOSURE_STEPS = 20_000
 _CLOSURE_REL_TOL = 1e-6
 
 
+# the unit phasor of the last circular drive sampled, keyed by the bits of its grid (T and the
+# sample count), nu and phase0, so 0.0 and -0.0 are different keys; the next solve on that
+# grid, such as the next point of a g0 sweep, reuses it. One grid is kept, and its array is
+# read-only
+_last_phasor: tuple = (None, None)
+
+
+def _phasor(shape: Circular, T: float, times: np.ndarray) -> np.ndarray:
+    """Circular.phasor on the grid times = linspace(0, T, len(times)), computed once per grid."""
+    global _last_phasor
+    key = (len(times), *(float(x).hex() for x in (T, shape.nu, shape.phase0)))
+    cached, phasor = _last_phasor
+    if cached != key:
+        phasor = shape.phasor(times)
+        phasor.flags.writeable = False
+        _last_phasor = (key, phasor)
+    return phasor
+
+
 def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Uniform grid over the cycle, the drive samples g(t), the running integral I of g, and the ++ loop.
 
     The ++ loop is alpha = -i conj(I); I and alpha both start at 0. The drive is
-    evaluated once; piecewise drives integrate exactly by segments and sample
-    no g, so theirs comes back None.
+    evaluated once, and a circular drive's unit phasor at most once per grid;
+    piecewise drives integrate exactly by segments and sample no g, so theirs
+    comes back None.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -58,7 +79,13 @@ def sample_loop(pulse: PulseSpec, n_samples: int) -> tuple[np.ndarray, np.ndarra
     # a drive too strong for double precision overflows to inf or nan here; the
     # closure and finiteness guards downstream turn that into a SimulationGuard
     with np.errstate(over="ignore", invalid="ignore"):
-        g_vals = None if isinstance(pulse.g_shape, PiecewiseConstant) else np.asarray(pulse.g(times))
+        shape = pulse.g_shape
+        if isinstance(shape, PiecewiseConstant):
+            g_vals = None
+        elif isinstance(shape, Circular):
+            g_vals = shape.g0 * _phasor(shape, pulse.T, times)
+        else:
+            g_vals = np.asarray(pulse.g(times))
         run = cumulative_drive_integral(pulse, times, g_vals)
         alphas = -0.5j * branch_lambda("++") * np.conjugate(run)
     return times, g_vals, run, alphas
@@ -144,6 +171,10 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
     with np.errstate(over="ignore", invalid="ignore"):
         # discrete Im(integral of conj(alpha) dalpha) along the sampled path
         loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+        alpha_T = alphas[-1]
+        # the loop's samples are not read past here; freed before G is formed, they lower a
+        # solve's peak by 16 bytes per sample, so it maps fewer fresh pages
+        del alphas
         shape = pulse.g_shape
         if isinstance(shape, PiecewiseConstant):
             durations = np.array([d for d, _ in shape.segments])
@@ -153,10 +184,10 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
             drive_integral = complex(np.sum(integrand * durations))
         else:
             integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-            drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
+            drive_integral = complex(np.sum(halved(np.diff(times) * (integrand[1:] + integrand[:-1]))))
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
         raise SimulationGuard(
             "phase sums over the drive cycle are not finite; "
             "the drive is too strong for double precision"
         )
-    return LoopSolution(alphas[-1], loop_sum, drive_integral, tol, excursion)
+    return LoopSolution(alpha_T, loop_sum, drive_integral, tol, excursion)

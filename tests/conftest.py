@@ -17,6 +17,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{label}: {verdict}")
 
 
+def bits(value):
+    """The IEEE bytes of a float or complex value: equal bits, equal signs of zero."""
+    return np.complex128(value).tobytes() if isinstance(value, complex) else np.float64(value).tobytes()
+
+
 @pytest.fixture
 def standard_pulse() -> PulseSpec:
     """One-loop circular drive with g0=0.1, nu=0.2; total phase pi/2 on the outer branches."""

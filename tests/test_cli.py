@@ -5,17 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loopgate
-from loopgate import cli, phase, validate
-from loopgate.config import load_config, parse_scalar
+from loopgate import Circular, cli, phase, validate
+from loopgate.config import _sweep_pulse, load_config, parse_scalar
 from loopgate.errors import ConfigError
 from loopgate.evolve import MAX_SAMPLES
 from loopgate.fock import MAX_DIM
 from loopgate.validate import MAX_SCAN_SIZE, ScanRow, ValidationReport
+from conftest import bits
 
 CIRCULAR_CONFIG = """\
 [pulse]
@@ -30,6 +32,8 @@ loops = 1
 n_steps = 65536
 """
 
+# the README's piecewise drive
+PIECEWISE_PULSE = "[pulse]\nshape = piecewise\nsegments = 1.0 0.1+0j; 0.5 -0.2+0.1j; 1.0 -0.05j\n"
 
 # a valid circular pulse followed by an open [scan] section
 SCAN_PULSE = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\n"
@@ -193,6 +197,9 @@ class TestConfigSyntax:
             # nu is checked whether or not T is given, and no Circular is built past that check
             ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\n", ["pulse.nu: must be nonzero"]),
             ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\nT = 31.41592653589793\n", ["pulse.nu: must be nonzero"]),
+            # g0 is checked under its own key, next to nu
+            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0.2\n", ["pulse.g0: must be > 0"]),
+            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0\n", ["pulse.g0: must be > 0", "pulse.nu: must be nonzero"]),
             # [raman] takes no channel frequencies: the effective couplings assume two-photon resonance
             *(
                 (RAMAN_CONFIG.replace("[raman]\n", f"[raman]\n{key} = 1.0\n"), [f"raman.{key}: unknown key"])
@@ -209,8 +216,9 @@ class TestConfigSyntax:
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
             "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
-            "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "nu-zero", "nu-zero-with-T", "raman-omega_p",
-            "raman-omega_s", "raman-omega_g", "raman-omega_c", "raman-omega_0", "raman-complex-r",
+            "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "nu-zero", "nu-zero-with-T", "g0-negative",
+            "g0-and-nu", "raman-omega_p", "raman-omega_s", "raman-omega_g", "raman-omega_c", "raman-omega_0",
+            "raman-complex-r",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -698,6 +706,71 @@ class TestSweepCommand:
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(": ")[1] for line in lines] == ["sweep.g0", "sweep.r0"]
 
+    @staticmethod
+    def swept(monkeypatch, cfg):
+        """The rows a sweep emits, as computed: no formatting."""
+        rows = []
+        monkeypatch.setattr(cli, "_emit_rows", lambda run_config, emitted, payload=None: rows.extend(emitted))
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        return rows
+
+    @staticmethod
+    def assert_rows_match_point_solves(monkeypatch, cfg, rows):
+        """Each row has the bits of a solve of its own point, with nothing left over from another point."""
+        run_config = load_config(cfg)
+        for row in rows:
+            pulse = run_config.pulse
+            for name in run_config.sweep.fields:
+                pulse = _sweep_pulse(pulse, name, row[name])
+            monkeypatch.setattr(phase, "_last_phasor", (None, None))
+            solution = phase.solve_loop(pulse, run_config.n_steps, require_closed=False)
+            breakdown = solution.breakdown("++")
+            solved = (breakdown.gamma_g, breakdown.gamma_d, breakdown.gamma_total, solution.closure_residual("++"))
+            swept = tuple(row[key] for key in ("gamma_g", "gamma_d", "gamma_total", "closure_residual"))
+            assert [bits(value) for value in swept] == [bits(value) for value in solved]
+
+    def test_g0_points_share_one_phasor(self, tmp_path, monkeypatch):
+        calls = []
+        phasor = Circular.phasor
+
+        def counted(self, t):
+            calls.append(np.shape(t))
+            return phasor(self, t)
+
+        g0_values = " ".join(repr(0.05 + 0.01 * k) for k in range(12))
+        cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + f"\n[sweep]\ng0 = {g0_values}\n")
+        monkeypatch.setattr(Circular, "phasor", counted)
+        monkeypatch.setattr(phase, "_last_phasor", (None, None))
+        rows = self.swept(monkeypatch, cfg)
+        assert calls == [(65537,)]
+        assert len(rows) == 12
+        self.assert_rows_match_point_solves(monkeypatch, cfg, rows)
+
+    @pytest.mark.parametrize(
+        "pulse,sweep,solves",
+        [
+            (PIECEWISE_PULSE, "r0 = 0 0.5 1", 1),
+            (CIRCULAR_CONFIG, "g0 = 0.1 0.2\nr0 = 0 1 2", 2),
+            (CIRCULAR_CONFIG, "r0 = 0 1 2\ng0 = 0.1 0.2", 2),
+        ],
+        ids=["piecewise-r0", "g0-then-r0", "r0-then-g0"],
+    )
+    def test_points_that_differ_only_in_r0_share_one_solve(self, tmp_path, monkeypatch, pulse, sweep, solves):
+        calls = []
+        solve_loop = phase.solve_loop
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_loop(*args, **kwargs)
+
+        cfg = write(tmp_path / "s.ini", pulse + f"\n[sweep]\n{sweep}\n")
+        monkeypatch.setattr(phase, "solve_loop", counted)
+        rows = self.swept(monkeypatch, cfg)
+        assert len(calls) == solves
+        assert len(rows) == 3 * solves
+        monkeypatch.setattr(phase, "solve_loop", solve_loop)
+        self.assert_rows_match_point_solves(monkeypatch, cfg, rows)
+
     def test_single_point_matches_phases(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\ng0 = 0.1\n")
         assert cli.main(["sweep", "--config", cfg]) == 0
@@ -992,6 +1065,8 @@ def test_scalar_commands_load_no_matrix_engine(tmp_path, command, section):
     modules = imported_modules(result.stderr)
     assert "loopgate.phase" in modules
     assert "loopgate.evolve" not in modules
+    # a CSV run does not load json
+    assert "json" not in modules
 
 
 # the names the package exported before its exports became lazy

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ from loopgate import (
     Sampled,
     SimulationGuard,
     branch_lambda,
+    phase,
     solve_loop,
 )
-from loopgate.model import cumulative_drive_integral
+from loopgate.model import cumulative_drive_integral, halved
 from loopgate.phase import sample_loop
-from conftest import random_closed_piecewise
+from conftest import bits, random_closed_piecewise
 
 
 def drive_integral(pulse, n_steps=100_000):
@@ -303,20 +306,15 @@ def two_pass_reference(pulse, n_steps):
     return loop_sum, integral, residual, (2 * 2 / 4) * 0.5 * (loop_sum + closing)
 
 
-def bits(value):
-    """The IEEE bytes of a float or complex value: equal bits, equal signs of zero."""
-    return np.complex128(value).tobytes() if isinstance(value, complex) else np.float64(value).tobytes()
-
-
 # components that exercise signed zeros: exact zeros of either sign and both signs of a value
 _COMPONENTS = st.sampled_from((0.0, -0.0, 0.25, -0.25, 0.1, -0.3))
 _SIGNED = st.builds(complex, _COMPONENTS, _COMPONENTS)
 
 
 @st.composite
-def any_drives(draw):
+def any_drives(draw, kinds=("circular", "sampled", "piecewise", "closed_piecewise", "line")):
     """Closed or open circular, sampled and piecewise drives, including zero-area ones, with a step count."""
-    kind = draw(st.sampled_from(("circular", "sampled", "piecewise", "closed_piecewise", "line")))
+    kind = draw(st.sampled_from(kinds))
     n_steps = draw(st.integers(1, 600))
     if kind == "circular":
         shape = Circular(
@@ -376,21 +374,109 @@ class TestOnePassMatchesTwoPasses:
                 solution.area("++")
 
 
+def quotient_formulas(pulse, n_steps):
+    """alpha_T, loop sum, G integral and excursion with a fresh drive sample and both trapezoids halved by / 2.0.
+
+    A circle is sampled as g0 exp(i (phase0 - nu t)) on every call, and each
+    trapezoid divides its terms by numpy's complex quotient, as solve_loop did
+    before solves on one grid shared the phasor and halved in real arithmetic.
+    """
+    times = np.linspace(0.0, pulse.T, n_steps + 1)
+    shape = pulse.g_shape
+    if isinstance(shape, Circular):
+        g = shape.g0 * np.exp(1j * (shape.phase0 - shape.nu * times))
+    else:
+        g = np.asarray(shape.g(times))
+    run = np.empty(len(times), dtype=complex)
+    run[0] = 0.0
+    run[1:] = np.cumsum(np.diff(times) * (g[1:] + g[:-1]) / 2.0)
+    alphas = -0.5j * 2 * np.conjugate(run)
+    loop_sum = float(np.sum((np.conjugate(alphas[:-1]) * alphas[1:]).imag))
+    integrand = g * run.conjugate() - g.conjugate() * run
+    integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
+    return alphas[-1], loop_sum, integral, float(np.abs(alphas).max())
+
+
+# parts where the quotient by 2 + 0j and the scaling by 0.5 part ways: signed zeros, inf and nan
+_SPECIAL_PARTS = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -0.25))
+
+
+class TestSharedPhasorAndRealHalving:
+    @settings(max_examples=300, deadline=None)
+    @given(any_drives(kinds=("circular", "sampled")), st.floats(0.01, 0.5))
+    def test_bit_for_bit_against_the_quotient(self, drive, other_g0):
+        pulse, n_steps = drive
+        pulses = [pulse]
+        if isinstance(pulse.g_shape, Circular):
+            # another g0 on the same grid takes the phasor the first solve left
+            pulses.append(replace(pulse, g_shape=replace(pulse.g_shape, g0=other_g0)))
+        for each in pulses:
+            solution = solve_loop(each, n_steps, require_closed=False)
+            solved = (solution.alpha_T, solution.loop_sum, solution.drive_integral, solution.excursion)
+            assert [bits(value) for value in solved] == [bits(value) for value in quotient_formulas(each, n_steps)]
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_every_signed_zero_drive(self, length):
+        # each sample's parts are 0.0 or -0.0, the drives where the two halvings part ways
+        zeros = [complex(re, im) for re, im in itertools.product((0.0, -0.0), repeat=2)]
+        for values in itertools.product(zeros, repeat=length):
+            pulse = PulseSpec(g_shape=Sampled(dt=0.5, values=values), T=0.5 * (length - 1))
+            for n_steps in (1, 2, 3):
+                solution = solve_loop(pulse, n_steps, require_closed=False)
+                solved = (solution.alpha_T, solution.loop_sum, solution.drive_integral, solution.excursion)
+                expected = quotient_formulas(pulse, n_steps)
+                assert [bits(value) for value in solved] == [bits(value) for value in expected], values
+
+    @pytest.mark.parametrize(
+        "changed",
+        [{"phase0": 1.0}, {"nu": 0.25}, {"T": 20.0}, {"n_steps": 300}],
+        ids=["phase0", "nu", "T", "n_steps"],
+    )
+    def test_a_new_grid_or_direction_takes_a_new_phasor(self, changed):
+        first = {"phase0": 0.5, "nu": 0.2, "T": 10.0, "n_steps": 200}
+        for point in (first, {**first, **changed}):
+            pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=point["nu"], phase0=point["phase0"]), T=point["T"])
+            solution = solve_loop(pulse, point["n_steps"], require_closed=False)
+            expected = quotient_formulas(pulse, point["n_steps"])
+            assert [bits(solution.alpha_T), bits(solution.loop_sum)] == [bits(expected[0]), bits(expected[1])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(complex, st.one_of(_SPECIAL_PARTS, st.floats()), st.one_of(_SPECIAL_PARTS, st.floats()))))
+    def test_halved_is_the_quotient(self, values):
+        terms = np.array(values, dtype=complex)
+        # the quotient warns on an inf part, and halved takes the quotient there
+        with np.errstate(invalid="ignore"):
+            expected = terms / 2.0
+            assert halved(terms).tobytes() == expected.tobytes()
+
+    def test_the_phasor_array_is_read_only(self):
+        solve_loop(PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=10 * math.pi), 100)
+        _, phasor = phase._last_phasor
+        assert len(phasor) == 101 and not phasor.flags.writeable
+
+
 @pytest.mark.parametrize(
-    "shape",
-    [Circular(g0=0.1, nu=0.2), Sampled(dt=0.5, values=(0.1, 0.1j, -0.1, -0.1j, 0.1))],
+    "shape,evaluations",
+    [
+        (Circular(g0=0.1, nu=0.2), [("phasor", (1001,))]),
+        (Sampled(dt=0.5, values=(0.1, 0.1j, -0.1, -0.1j, 0.1)), [("g", (1001,)), ("g", (1001,))]),
+    ],
     ids=["circular", "sampled"],
 )
-def test_one_drive_sample_per_solve(monkeypatch, shape):
-    # the running integral and the G integrand share one evaluation of g on the grid
+def test_one_drive_sample_per_solve(monkeypatch, shape, evaluations):
+    # the running integral and the G integrand share one evaluation of the drive on the grid,
+    # and a circle's phasor is evaluated once per grid: the second solve on it evaluates nothing
     calls = []
-    evaluate = type(shape).g
+    cls = type(shape)
+    for name in {"g", "phasor"} & set(vars(cls)):
 
-    def counted(self, t):
-        calls.append(np.shape(t))
-        return evaluate(self, t)
+        def counted(self, t, name=name, evaluate=getattr(cls, name)):
+            calls.append((name, np.shape(t)))
+            return evaluate(self, t)
 
-    monkeypatch.setattr(type(shape), "g", counted)
+        monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(phase, "_last_phasor", (None, None))
     T = shape.natural_duration() or 2 * math.pi / shape.nu
-    solve_loop(PulseSpec(g_shape=shape, T=T), 1000)
-    assert calls == [(1001,)]
+    for _ in range(2):
+        solve_loop(PulseSpec(g_shape=shape, T=T), 1000)
+    assert calls == evaluations
