@@ -209,17 +209,11 @@ def cmd_sweep(args) -> int:
             f"sweep: grid has {total} points, above max_points = {cfg.sweep.max_points}"
         )
     rows = []
-    solutions = {}
     for combo in itertools.product(*grids):
         pulse = cfg.pulse
         for name, value in zip(fields, combo):
             pulse = _sweep_pulse(pulse, name, value)
-        # solve_loop never reads r0, so points that differ only in r0 share one solve; the
-        # key holds the bits of the other values, so 0.0 and -0.0 are different points
-        key = tuple(float(value).hex() for name, value in zip(fields, combo) if name != "r0")
-        if key not in solutions:
-            solutions[key] = solve_loop(pulse, cfg.n_steps, require_closed=False)
-        solution = solutions[key]
+        solution = solve_loop(pulse, cfg.n_steps, require_closed=False)
         breakdown = solution.breakdown("++")
         rows.append(
             {

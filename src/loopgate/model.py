@@ -249,26 +249,8 @@ def cumulative_drive_integral(pulse: PulseSpec, times: np.ndarray, values=None) 
     out = np.empty(len(times), dtype=complex)
     out[0] = 0.0
     # summed into out, so no second array of the running integral is made
-    np.cumsum(halved(np.diff(times) * (vals[1:] + vals[:-1])), out=out[1:])
+    np.cumsum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0, out=out[1:])
     return out
-
-
-def halved(terms: np.ndarray) -> np.ndarray:
-    """terms / 2.0 bit for bit, in place, at about half the cost of numpy's complex quotient.
-
-    The quotient by 2 + 0j is ((x + 0 y) / 2, (y - 0 x) / 2), which equals (x / 2, y / 2)
-    unless a part is -0.0 or not finite. Without such a part the float64 parts are scaled
-    by 0.5; with one, the quotient itself is taken.
-    """
-    parts = terms.view(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(parts.sum())
-    # -0.0 is the only float whose bits read as the smallest int64
-    if finite and parts.view(np.int64).min(initial=0) != np.iinfo(np.int64).min:
-        np.multiply(parts, 0.5, out=parts)
-    else:
-        np.divide(terms, 2.0, out=terms)
-    return terms
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import DEFAULT_PHASE_STEPS
 from .errors import OpenLoopError, SimulationGuard
-from .model import Circular, PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral, halved
+from .model import Circular, PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
 
 # longest time grid of one propagation, and of all the numeric gates of one command
 # together (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on
@@ -184,7 +184,7 @@ def solve_loop(pulse: PulseSpec, n_steps: int = DEFAULT_PHASE_STEPS, require_clo
             drive_integral = complex(np.sum(integrand * durations))
         else:
             integrand = g_vals * run.conjugate() - g_vals.conjugate() * run
-            drive_integral = complex(np.sum(halved(np.diff(times) * (integrand[1:] + integrand[:-1]))))
+            drive_integral = complex(np.sum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0))
     if not (math.isfinite(loop_sum) and cmath.isfinite(drive_integral)):
         raise SimulationGuard(
             "phase sums over the drive cycle are not finite; "

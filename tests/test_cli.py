@@ -32,8 +32,6 @@ loops = 1
 n_steps = 65536
 """
 
-# the README's piecewise drive
-PIECEWISE_PULSE = "[pulse]\nshape = piecewise\nsegments = 1.0 0.1+0j; 0.5 -0.2+0.1j; 1.0 -0.05j\n"
 
 # a valid circular pulse followed by an open [scan] section
 SCAN_PULSE = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\n"
@@ -744,31 +742,6 @@ class TestSweepCommand:
         rows = self.swept(monkeypatch, cfg)
         assert calls == [(65537,)]
         assert len(rows) == 12
-        self.assert_rows_match_point_solves(monkeypatch, cfg, rows)
-
-    @pytest.mark.parametrize(
-        "pulse,sweep,solves",
-        [
-            (PIECEWISE_PULSE, "r0 = 0 0.5 1", 1),
-            (CIRCULAR_CONFIG, "g0 = 0.1 0.2\nr0 = 0 1 2", 2),
-            (CIRCULAR_CONFIG, "r0 = 0 1 2\ng0 = 0.1 0.2", 2),
-        ],
-        ids=["piecewise-r0", "g0-then-r0", "r0-then-g0"],
-    )
-    def test_points_that_differ_only_in_r0_share_one_solve(self, tmp_path, monkeypatch, pulse, sweep, solves):
-        calls = []
-        solve_loop = phase.solve_loop
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve_loop(*args, **kwargs)
-
-        cfg = write(tmp_path / "s.ini", pulse + f"\n[sweep]\n{sweep}\n")
-        monkeypatch.setattr(phase, "solve_loop", counted)
-        rows = self.swept(monkeypatch, cfg)
-        assert len(calls) == solves
-        assert len(rows) == 3 * solves
-        monkeypatch.setattr(phase, "solve_loop", solve_loop)
         self.assert_rows_match_point_solves(monkeypatch, cfg, rows)
 
     def test_single_point_matches_phases(self, tmp_path, capsys):
