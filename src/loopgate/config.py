@@ -16,7 +16,12 @@ Sections:
 
 Inline comments start with "#" only: ";" separates pulse segments, and "%" is
 literal text. Every violated precondition is reported with its section.key
-path, all at once, before any computation starts.
+path, all at once, before any computation starts: one line per key, and a key
+that fails hides no other key's checks. The pulse dataclasses judge their own
+fields (model), so a field they refuse is reported under pulse.<field> or
+raman.<field>, even when it was derived: T from loops and nu, r0, g0 and
+phase0 from [raman]. Each swept value meets the same checks, also when the
+pulse itself fails.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .design import DEFAULT_PHASE_STEPS, GATE_METHODS
-from .errors import ConfigError
+from .errors import ConfigError, InvalidFields
 
 if TYPE_CHECKING:
-    from .model import PulseSpec
+    from .model import GShape, PulseSpec
 
 _ALLOWED_EXPR = re.compile(r"^[0-9pij+\-*/().eE\s]+$")
 _BARE_PI = re.compile(r"(?<=[0-9.)])pi")
@@ -46,7 +51,6 @@ _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 FORMAT_CHOICES = ("csv", "json")
 
 _SWEEPABLE = ("g0", "nu", "phase0", "r0", "T")
-_CIRCULAR_ONLY = ("g0", "nu", "phase0")
 
 
 def _evaluate(node: ast.expr):
@@ -158,7 +162,7 @@ class RunConfig:
 class _Reader:
     """Pulls typed values out of one parsed INI file, collecting path-tagged errors.
 
-    A value that fails to convert is reported once: later checks on its path are skipped.
+    Each path is reported once: after its first failure, later checks on it are skipped.
     """
 
     def __init__(self, parser: configparser.ConfigParser):
@@ -167,141 +171,138 @@ class _Reader:
         self.seen: set[tuple[str, str]] = set()
         self.invalid: set[str] = set()
 
+    def fail(self, path, message):
+        if path not in self.invalid:
+            self.errors.append(f"{path}: {message}")
+            self.invalid.add(path)
+
     def get(self, section, key, convert, default=None, required=False):
         self.seen.add((section, key))
         if not self.parser.has_option(section, key):
             if required:
-                self.errors.append(f"{section}.{key}: required key is missing")
+                self.fail(f"{section}.{key}", "required key is missing")
             return default
         raw = self.parser.get(section, key)
         try:
             return convert(raw)
         except ValueError as exc:
-            self.errors.append(f"{section}.{key}: {exc}")
-            self.invalid.add(f"{section}.{key}")
+            self.fail(f"{section}.{key}", exc)
             return default
 
     def check(self, condition, path, message):
-        if not condition and path not in self.invalid:
-            self.errors.append(f"{path}: {message}")
+        if not condition:
+            self.fail(path, message)
         return condition
+
+    def build(self, cls, section, **fields):
+        """cls(**fields), or None with each refused field reported as ``section.<field>``.
+
+        A field passed as None is missing or failed to parse and has been reported;
+        the class still judges the others, so one bad key hides no other.
+        """
+        given = {name: value for name, value in fields.items() if value is not None}
+        if len(given) < len(fields):
+            failures = cls.failures(**given)
+        else:
+            try:
+                return cls(**given)
+            except InvalidFields as exc:
+                failures = exc.failures
+        for name, message in failures:
+            self.fail(f"{section}.{name}", message)
+        return None
 
     def warn_unknown(self, section):
         if not self.parser.has_section(section):
             return
         for key in self.parser.options(section):
             if (section, key) not in self.seen:
-                self.errors.append(f"{section}.{key}: unknown key")
+                self.fail(f"{section}.{key}", "unknown key")
 
 
-def _build_pulse(reader: _Reader) -> PulseSpec | None:
+def _shapes() -> dict:
+    """The drive class of each pulse.shape name; the classes load numpy, so they are imported on first use."""
+    from .model import Circular, PiecewiseConstant, Sampled
+
+    return {"circular": Circular, "piecewise": PiecewiseConstant, "sampled": Sampled}
+
+
+def _has_field(cls, name: str) -> bool:
+    return any(spec.name == name for spec in dataclasses.fields(cls))
+
+
+def _build_pulse(reader: _Reader) -> tuple[str | None, GShape | None, PulseSpec | None]:
+    """The shape name, the shape and the pulse, each None where the config did not give or build it."""
     parser = reader.parser
     if not parser.has_section("pulse"):
-        reader.errors.append("pulse: section is required")
-        return None
+        reader.fail("pulse", "section is required")
+        return None, None, None
     # the drive classes load numpy, so only a config that builds a pulse pays for it
-    from .model import Circular, PiecewiseConstant, PulseSpec, RamanParams, Sampled, effective_couplings
+    from .model import PulseSpec, RamanParams, effective_couplings
 
-    raman = None
+    derived_r0 = derived_g0 = None
+    derived_phase0 = 0.0
     if parser.has_section("raman"):
-        kwargs = {}
-        for spec in dataclasses.fields(RamanParams):
-            conv = parse_complex if spec.type is complex else parse_real
-            kwargs[spec.name] = reader.get("raman", spec.name, conv, required=True)
+        parse = {complex: parse_complex, float: parse_real}
+        raman = reader.build(RamanParams, "raman", **{
+            spec.name: reader.get("raman", spec.name, parse[spec.type], required=True)
+            for spec in dataclasses.fields(RamanParams)
+        })
         reader.warn_unknown("raman")
-        if all(v is not None for v in kwargs.values()):
+        if raman is not None:
+            r, g = effective_couplings(raman)
+            # abs() of a complex raises where its modulus is past double precision
+            if abs(r.imag) > 1e-12 * max(1.0, abs(r.real)):
+                reader.fail(
+                    "raman",
+                    "derived classical coupling r is not real; gate operation requires a real constant classical drive",
+                )
+            elif r.real < 0 and not parser.has_option("pulse", "r0"):
+                reader.fail(
+                    "raman",
+                    f"derived classical coupling r = {r.real:.6g} is negative; "
+                    "flip a detuning sign or set pulse.r0 explicitly",
+                )
+            else:
+                derived_r0 = r.real
             try:
-                raman = RamanParams(**kwargs)
-            except ValueError as exc:
-                reader.errors.append(f"raman: {exc}")
-
-    derived_r0 = None
-    derived_g = None
-    if raman is not None:
-        r, g = effective_couplings(raman)
-        if abs(r.imag) > 1e-12 * max(1.0, abs(r)):
-            reader.errors.append(
-                "raman: derived classical coupling r is not real; "
-                "gate operation requires a real constant classical drive"
-            )
-        elif r.real < 0 and not parser.has_option("pulse", "r0"):
-            reader.errors.append(
-                f"raman: derived classical coupling r = {r.real:.6g} is negative; "
-                "flip a detuning sign or set pulse.r0 explicitly"
-            )
-        else:
-            derived_r0 = r.real
-        derived_g = g
+                derived_g0 = abs(g)
+            except OverflowError:
+                derived_g0 = math.inf
+            derived_phase0 = math.atan2(g.imag, g.real)
 
     shape_name = reader.get("pulse", "shape", str.strip, default="circular")
-    if not reader.check(
-        shape_name in ("circular", "piecewise", "sampled"),
-        "pulse.shape",
-        f"must be circular, piecewise or sampled (got {shape_name!r})",
-    ):
-        return None
-
-    r0 = reader.get("pulse", "r0", parse_real)
-    if r0 is None:
-        r0 = derived_r0 if derived_r0 is not None else 0.0
-
-    shape = None
+    shape_cls = _shapes().get(shape_name)
+    reader.check(shape_cls is not None, "pulse.shape", f"must be circular, piecewise or sampled (got {shape_name!r})")
+    r0 = reader.get("pulse", "r0", parse_real, default=0.0 if derived_r0 is None else derived_r0)
     T = reader.get("pulse", "T", parse_real)
+    shape = None
     if shape_name == "circular":
-        g0 = reader.get("pulse", "g0", parse_real)
-        phase0 = reader.get("pulse", "phase0", parse_real)
-        if g0 is None and derived_g is not None:
-            g0 = abs(derived_g)
-        if phase0 is None:
-            phase0 = math.atan2(derived_g.imag, derived_g.real) if derived_g is not None else 0.0
+        g0 = reader.get("pulse", "g0", parse_real, default=derived_g0)
+        phase0 = reader.get("pulse", "phase0", parse_real, default=derived_phase0)
         nu = reader.get("pulse", "nu", parse_real, required=True)
         loops = reader.get("pulse", "loops", parse_int, default=1)
-        reader.check(g0 is not None, "pulse.g0", "required for circular shapes without a raman section")
-        if None in (g0, nu, loops):
-            reader.warn_unknown("pulse")
-            return None
-        # g0, loops and nu are checked even when T is given, where loops and nu derive nothing
-        g0_ok = reader.check(g0 > 0, "pulse.g0", "must be > 0")
-        loops_ok = reader.check(loops >= 1, "pulse.loops", "must be >= 1")
-        nu_ok = reader.check(nu != 0, "pulse.nu", "must be nonzero")
-        if T is None and nu_ok and loops_ok:
+        has_g0 = g0 is not None or parser.has_section("raman")
+        reader.check(has_g0, "pulse.g0", "required for circular shapes without a raman section")
+        shape = reader.build(shape_cls, "pulse", g0=g0, nu=nu, phase0=phase0)
+        # loops and nu are checked even when T is given, where they derive nothing
+        reader.check(loops >= 1, "pulse.loops", "must be >= 1")
+        if T is None and reader.invalid.isdisjoint(("pulse.nu", "pulse.loops")):
             # a float product overflows to inf, which PulseSpec refuses; an int one raises
             T = float(loops) * 2 * math.pi / abs(nu)
-        if g0_ok and nu_ok:
-            try:
-                shape = Circular(g0=g0, nu=nu, phase0=phase0)
-            except ValueError as exc:
-                reader.errors.append(f"pulse: {exc}")
     elif shape_name == "piecewise":
         segments = reader.get("pulse", "segments", parse_segments, required=True)
-        if segments is not None:
-            try:
-                shape = PiecewiseConstant(segments=tuple(segments))
-            except ValueError as exc:
-                reader.errors.append(f"pulse.segments: {exc}")
-            if shape is not None and T is None:
-                T = shape.natural_duration()
-    else:
-        sample_dt = reader.get("pulse", "dt", parse_real, required=True)
-        if sample_dt is not None and not reader.check(sample_dt > 0, "pulse.dt", "must be > 0"):
-            sample_dt = None
+        shape = reader.build(shape_cls, "pulse", segments=segments)
+    elif shape_name == "sampled":
+        dt = reader.get("pulse", "dt", parse_real, required=True)
         values = reader.get("pulse", "values", list_of(parse_complex), required=True)
-        if sample_dt is not None and values is not None:
-            try:
-                shape = Sampled(dt=sample_dt, values=tuple(values))
-            except ValueError as exc:
-                reader.errors.append(f"pulse.values: {exc}")
-            if shape is not None and T is None:
-                T = shape.natural_duration()
-
-    reader.warn_unknown("pulse")
-    if shape is None or T is None:
-        return None
-    try:
-        return PulseSpec(g_shape=shape, T=T, r0=r0)
-    except ValueError as exc:
-        reader.errors.append(f"pulse: {exc}")
-        return None
+        shape = reader.build(shape_cls, "pulse", dt=dt, values=values)
+    # without a known shape there is no list of known keys
+    if shape_cls is not None:
+        reader.warn_unknown("pulse")
+    if T is None and shape is not None:
+        T = shape.natural_duration()
+    return shape_name, shape, reader.build(PulseSpec, "pulse", g_shape=shape, T=T, r0=r0)
 
 
 def _build_scan(reader: _Reader) -> ScanConfig | None:
@@ -327,8 +328,8 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
 
 
 def _sweep_pulse(base: PulseSpec, key: str, value: float) -> PulseSpec:
-    """base with one swept field set: r0 and T on the PulseSpec, the rest on its circular shape."""
-    if key in _CIRCULAR_ONLY:
+    """base with one swept field set: on its shape when the shape has that field, else on the PulseSpec."""
+    if _has_field(base.g_shape, key):
         return replace(base, g_shape=replace(base.g_shape, **{key: value}))
     return replace(base, **{key: value})
 
@@ -337,29 +338,31 @@ def _not_sweepable(text):
     raise ValueError(f"not a sweepable pulse field {_SWEEPABLE}")
 
 
-def _build_sweep(reader: _Reader, pulse: PulseSpec | None) -> SweepConfig | None:
+def _build_sweep(reader: _Reader, shape_name: str | None, shape: GShape | None) -> SweepConfig | None:
     parser = reader.parser
     if not parser.has_section("sweep"):
         return None
-    from .model import Circular
+    from .model import PulseSpec
 
+    shape_cls = _shapes().get(shape_name)
     max_points = reader.get("sweep", "max_points", parse_int, default=SweepConfig.max_points)
     fields: dict[str, list[float]] = {}
     for key in parser.options("sweep"):
-        if key != "max_points":
-            values = reader.get("sweep", key, list_of(parse_real) if key in _SWEEPABLE else _not_sweepable)
-            if not reader.check(values, f"sweep.{key}", "needs at least one value"):
-                continue
-            # a pulse that failed to build has reported its own errors
-            exposed = key not in _CIRCULAR_ONLY or pulse is None or isinstance(pulse.g_shape, Circular)
-            if reader.check(exposed, f"sweep.{key}", "only circular pulses expose this field"):
-                fields[key] = values
-                for value in values if pulse is not None else ():
-                    try:
-                        _sweep_pulse(pulse, key, value)
-                    except ValueError as exc:
-                        reader.errors.append(f"sweep.{key}: {exc}")
-                        break
+        if key == "max_points":
+            continue
+        path = f"sweep.{key}"
+        values = reader.get("sweep", key, list_of(parse_real) if key in _SWEEPABLE else _not_sweepable)
+        owner = PulseSpec if _has_field(PulseSpec, key) else shape_cls
+        if not reader.check(values, path, "needs at least one value") or owner is None:
+            continue
+        if reader.check(_has_field(owner, key), path, f"a {shape_name} pulse has no {key} field"):
+            fields[key] = values
+            # every value is judged, even when the pulse failed; the one check a swept value
+            # meets that reads a second field is PulseSpec's match of T to the shape's duration
+            context = {} if shape is None else {"g_shape": shape}
+            for value in values:
+                for _, message in owner.failures(**context, **{key: value}):
+                    reader.fail(path, message)
     reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
     return SweepConfig(fields=fields, max_points=max_points)
 
@@ -379,14 +382,15 @@ def load_config(path: str, overrides=()) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc.strerror or exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"config: {exc}") from None
+        # configparser spreads its message over several lines; a config error is one line
+        raise ConfigError(f"config: {' '.join(line.strip() for line in str(exc).splitlines())}") from None
     for section, key, raw in overrides:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, raw)
 
     reader = _Reader(parser)
-    pulse = _build_pulse(reader)
+    shape_name, shape, pulse = _build_pulse(reader)
 
     dim = reader.get("space", "dim", parse_int, default=RunConfig.dim)
     reader.check(dim is None or dim >= 2, "space.dim", "must be >= 2")
@@ -408,11 +412,11 @@ def load_config(path: str, overrides=()) -> RunConfig:
     reader.warn_unknown("output")
 
     scan = _build_scan(reader)
-    sweep = _build_sweep(reader, pulse)
+    sweep = _build_sweep(reader, shape_name, shape)
 
     for section in parser.sections():
         if section not in ("pulse", "raman", "space", "run", "output", "scan", "sweep"):
-            reader.errors.append(f"{section}: unknown section")
+            reader.fail(section, "unknown section")
 
     if reader.errors or pulse is None:
         raise ConfigError(reader.errors or ["pulse: could not build a pulse"])

@@ -29,6 +29,14 @@ class TruncationGuardError(SimulationGuard):
     """Requested Fock dimension cannot hold the phase-space excursion."""
 
 
+class InvalidFields(ValueError):
+    """Fields a dataclass refuses; carries one (field, message) pair per offending field."""
+
+    def __init__(self, owner: str, failures):
+        self.failures = list(failures)
+        super().__init__("; ".join(f"{owner}.{name} {message}" for name, message in self.failures))
+
+
 class ConfigError(Exception):
     """Invalid run configuration; carries one message per offending field."""
 

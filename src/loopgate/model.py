@@ -24,11 +24,12 @@ basis |+-> = (|g> +- |e>)/sqrt(2).
 import cmath
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .errors import InvalidFields
 from .fock import FockSpace, annihilation
 
 BRANCHES = ("++", "+-", "-+", "--")
@@ -57,8 +58,46 @@ class HamiltonianTier(Enum):
     RWA_EFFECTIVE = "rwa"
 
 
+def _finite(value):
+    return cmath.isfinite(value) or f"must be finite, got {value}"
+
+
+def _finite_positive(value):
+    return value > 0 and math.isfinite(value) or f"must be finite and > 0, got {value}"
+
+
+def _finite_nonzero(value):
+    return value != 0 and math.isfinite(value) or f"must be finite and nonzero, got {value}"
+
+
+class _Judged:
+    """A frozen dataclass whose fields its ``_CHECKS`` table judges, on construction or by ``failures``.
+
+    Each check is (the space-separated names of the fields it reads, a test that
+    returns the failure message when they fail it); the message is reported under
+    the last field read. A field fails at most once, and a check runs only when
+    every field it reads is given and has passed, so any subset of the fields can
+    be judged.
+    """
+
+    @classmethod
+    def failures(cls, **fields) -> list[tuple[str, str]]:
+        """(field, message) for each given field that fails, in the order of the checks."""
+        failed = {}
+        for names, test in cls._CHECKS:
+            names = names.split()
+            args = [fields[name] for name in names if name in fields and name not in failed]
+            if len(args) == len(names) and isinstance(verdict := test(*args), str):
+                failed[names[-1]] = verdict
+        return list(failed.items())
+
+    def __post_init__(self):
+        if failures := self.failures(**vars(self)):
+            raise InvalidFields(type(self).__name__, failures)
+
+
 @dataclass(frozen=True)
-class RamanParams:
+class RamanParams(_Judged):
     """Rabi amplitudes and single-photon detunings of the two Raman channels.
 
     The amplitude fields hold the scalar dipole-field products directly, and
@@ -75,13 +114,10 @@ class RamanParams:
     delta_1: float
     delta_2: float
 
-    def __post_init__(self):
-        if not all(cmath.isfinite(value) for value in astuple(self)):
-            raise ValueError("RamanParams fields must be finite")
-        if self.delta_1 == 0:
-            raise ValueError("delta_1 must be nonzero")
-        if self.delta_2 == 0:
-            raise ValueError("delta_2 must be nonzero")
+    _CHECKS = (
+        ("rabi_p", _finite), ("rabi_s", _finite), ("rabi_g", _finite), ("kappa_e", _finite),
+        ("delta_1", _finite_nonzero), ("delta_2", _finite_nonzero),
+    )
 
 
 def effective_couplings(params: RamanParams) -> tuple[complex, complex]:
@@ -97,7 +133,7 @@ def effective_couplings(params: RamanParams) -> tuple[complex, complex]:
 
 
 @dataclass(frozen=True)
-class Circular:
+class Circular(_Judged):
     """Constant-magnitude rotating drive g(t) = g0 * exp(i*(phase0 - nu*t)).
 
     Closes a phase-space loop whenever the total duration is an integer
@@ -108,13 +144,7 @@ class Circular:
     nu: float
     phase0: float = 0.0
 
-    def __post_init__(self):
-        if not (self.g0 > 0 and math.isfinite(self.g0)):
-            raise ValueError(f"Circular.g0 must be finite and > 0, got {self.g0}")
-        if not (self.nu != 0 and math.isfinite(self.nu)):
-            raise ValueError(f"Circular.nu must be finite and nonzero, got {self.nu}")
-        if not math.isfinite(self.phase0):
-            raise ValueError(f"Circular.phase0 must be finite, got {self.phase0}")
+    _CHECKS = (("g0", _finite_positive), ("nu", _finite_nonzero), ("phase0", _finite))
 
     def phasor(self, t):
         """The unit phasor exp(i*(phase0 - nu*t)): g0 times it is g(t), bit for bit."""
@@ -128,7 +158,7 @@ class Circular:
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant:
+class PiecewiseConstant(_Judged):
     """Drive held constant over an ordered list of (duration, value) segments.
 
     Evaluation is right-continuous: at a boundary the starting segment's
@@ -137,18 +167,19 @@ class PiecewiseConstant:
 
     segments: tuple[tuple[float, complex], ...]
 
+    _CHECKS = (
+        ("segments", lambda segs: len(segs) > 0 or "must hold at least one segment"),
+        ("segments", lambda segs: all(d > 0 and math.isfinite(d) and cmath.isfinite(g) for d, g in segs)
+         or "must have finite positive durations and finite values"),
+        ("segments", lambda segs: math.isfinite(sum(d for d, _ in segs)) or "must have durations with a finite sum"),
+    )
+
     def __post_init__(self):
-        segs = tuple((float(d), complex(g)) for d, g in self.segments)
-        if not segs:
-            raise ValueError("PiecewiseConstant needs at least one segment")
-        if not all(d > 0 and math.isfinite(d) and cmath.isfinite(g) for d, g in segs):
-            raise ValueError("segment durations must be finite and positive, and values finite")
-        if not math.isfinite(sum(d for d, _ in segs)):
-            raise ValueError("segment durations must add up to a finite total")
-        object.__setattr__(self, "segments", segs)
-        bounds = np.concatenate(([0.0], np.cumsum([d for d, _ in segs])))
+        object.__setattr__(self, "segments", tuple((float(d), complex(g)) for d, g in self.segments))
+        super().__post_init__()
+        bounds = np.concatenate(([0.0], np.cumsum([d for d, _ in self.segments])))
         object.__setattr__(self, "_bounds", bounds)
-        object.__setattr__(self, "_values", np.array([g for _, g in segs]))
+        object.__setattr__(self, "_values", np.array([g for _, g in self.segments]))
 
     def g(self, t):
         t = np.asarray(t, dtype=float)
@@ -169,7 +200,7 @@ class PiecewiseConstant:
 
 
 @dataclass(frozen=True)
-class Sampled:
+class Sampled(_Judged):
     """Drive given on a uniform grid with spacing dt, linearly interpolated.
 
     Samples sit at t = 0, dt, ..., (len(values)-1)*dt, so the covered
@@ -179,19 +210,19 @@ class Sampled:
     dt: float
     values: tuple[complex, ...]
 
+    _CHECKS = (
+        ("dt", _finite_positive),
+        ("values", lambda values: len(values) >= 2 or "must hold at least two samples"),
+        ("values", lambda values: all(cmath.isfinite(v) for v in values) or "must be finite"),
+        ("dt values", lambda dt, values: math.isfinite(dt * (len(values) - 1))
+         or f"must span a finite duration, got {len(values) - 1} x {dt}"),
+    )
+
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"Sampled.dt must be finite and > 0, got {self.dt}")
-        vals = tuple(complex(v) for v in self.values)
-        if len(vals) < 2:
-            raise ValueError("Sampled needs at least two samples")
-        if not all(cmath.isfinite(v) for v in vals):
-            raise ValueError("Sampled values must be finite")
-        if not math.isfinite(self.dt * (len(vals) - 1)):
-            raise ValueError(f"Sampled covers a duration of {len(vals) - 1} x {self.dt}, which is not finite")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_grid", self.dt * np.arange(len(vals)))
-        object.__setattr__(self, "_array", np.array(vals))
+        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        super().__post_init__()
+        object.__setattr__(self, "_grid", self.dt * np.arange(len(self.values)))
+        object.__setattr__(self, "_array", np.array(self.values))
 
     def g(self, t):
         t = np.asarray(t, dtype=float)
@@ -207,8 +238,14 @@ class Sampled:
 GShape = Circular | PiecewiseConstant | Sampled
 
 
+def _covers(shape, T):
+    natural = shape.natural_duration()
+    covered = natural is None or abs(natural - T) <= _DURATION_RTOL * max(1.0, abs(T))
+    return covered or f"must equal the duration {natural!r} its shape covers, got {T!r}"
+
+
 @dataclass(frozen=True)
-class PulseSpec:
+class PulseSpec(_Judged):
     """One gate cycle: drive envelope g(t), classical drive strength r0, duration T.
 
     r0 is restricted to a real nonnegative constant; the rotating-frame tier
@@ -219,16 +256,11 @@ class PulseSpec:
     T: float
     r0: float = 0.0
 
-    def __post_init__(self):
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"PulseSpec.T must be finite and > 0, got {self.T}")
-        if not (self.r0 >= 0 and math.isfinite(self.r0)):
-            raise ValueError(f"PulseSpec.r0 must be finite and >= 0, got {self.r0}")
-        natural = self.g_shape.natural_duration()
-        if natural is not None and abs(natural - self.T) > _DURATION_RTOL * max(1.0, abs(self.T)):
-            raise ValueError(
-                f"shape covers duration {natural!r} but PulseSpec.T is {self.T!r}"
-            )
+    _CHECKS = (
+        ("T", _finite_positive),
+        ("g_shape T", _covers),
+        ("r0", lambda r0: r0 >= 0 and math.isfinite(r0) or f"must be finite and >= 0, got {r0}"),
+    )
 
     def g(self, t):
         """Drive envelope at time t (scalar or array)."""

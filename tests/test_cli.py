@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,11 @@ delta_2 = 5.0
 [run]
 n_steps = 65536
 """
+
+
+NU_ZERO = "pulse.nu: must be finite and nonzero, got 0.0"
+G0_NEGATIVE = "pulse.g0: must be finite and > 0, got -1.0"
+R0_NEGATIVE = "pulse.r0: must be finite and >= 0, got -1.0"
 
 
 def write(path, text):
@@ -140,7 +146,7 @@ class TestConfigSyntax:
         [
             (
                 "[pulse]\nshape = sampled\ndt = -0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n",
-                ["pulse.dt: must be > 0"],
+                ["pulse.dt: must be finite and > 0, got -0.5"],
             ),
             (
                 "[pulse]\nshape = sampled\ndt = abc\nvalues = 0.1 garbage\n",
@@ -168,13 +174,13 @@ class TestConfigSyntax:
             ),
             (
                 "[pulse]\nshape = piecewise\nsegments = 1.0 0.1; 1.0 -0.1\n\n[sweep]\ng0 = 0.1 0.2\nmax_points = 0\n",
-                ["sweep.g0: only circular pulses expose this field", "sweep.max_points: must be >= 1"],
+                ["sweep.g0: a piecewise pulse has no g0 field", "sweep.max_points: must be >= 1"],
             ),
             (
                 "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[sweep]\ng0 = 0.1 -0.1\nr0 = 0 -1\n",
                 [
-                    "sweep.g0: Circular.g0 must be finite and > 0, got -0.1",
-                    "sweep.r0: PulseSpec.r0 must be finite and >= 0, got -1.0",
+                    "sweep.g0: must be finite and > 0, got -0.1",
+                    "sweep.r0: must be finite and >= 0, got -1.0",
                 ],
             ),
             (
@@ -192,12 +198,12 @@ class TestConfigSyntax:
                 "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nloops = 0\nT = 31.41592653589793\n",
                 ["pulse.loops: must be >= 1"],
             ),
-            # nu is checked whether or not T is given, and no Circular is built past that check
-            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\n", ["pulse.nu: must be nonzero"]),
-            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\nT = 31.41592653589793\n", ["pulse.nu: must be nonzero"]),
+            # nu is checked whether or not T is given
+            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\n", [NU_ZERO]),
+            ("[pulse]\nshape = circular\ng0 = 0.1\nnu = 0\nT = 31.41592653589793\n", [NU_ZERO]),
             # g0 is checked under its own key, next to nu
-            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0.2\n", ["pulse.g0: must be > 0"]),
-            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0\n", ["pulse.g0: must be > 0", "pulse.nu: must be nonzero"]),
+            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0.2\n", [G0_NEGATIVE]),
+            ("[pulse]\nshape = circular\ng0 = -1\nnu = 0\n", [G0_NEGATIVE, NU_ZERO]),
             # [raman] takes no channel frequencies: the effective couplings assume two-photon resonance
             *(
                 (RAMAN_CONFIG.replace("[raman]\n", f"[raman]\n{key} = 1.0\n"), [f"raman.{key}: unknown key"])
@@ -210,13 +216,80 @@ class TestConfigSyntax:
                     "gate operation requires a real constant classical drive"
                 ],
             ),
+            # a derived g0 that overflows is reported under pulse.g0, and its nan phase under pulse.phase0
+            (
+                RAMAN_CONFIG.replace("rabi_g = 0.5", "rabi_g = 1e200")
+                .replace("kappa_e = 1.0", "kappa_e = 1e200")
+                .replace("delta_2 = 5.0", "delta_2 = 1e-100"),
+                ["pulse.g0: must be finite and > 0, got inf", "pulse.phase0: must be finite, got nan"],
+            ),
+            # couplings whose modulus is past double precision: an inf g0, and an r that is not real
+            (
+                RAMAN_CONFIG.replace("rabi_g = 0.5", "rabi_g = 1.2e154+1.2e154j")
+                .replace("kappa_e = 1.0", "kappa_e = 1.2e154")
+                .replace("delta_2 = 5.0", "delta_2 = -1"),
+                ["pulse.g0: must be finite and > 0, got inf"],
+            ),
+            (
+                RAMAN_CONFIG.replace("rabi_p = 2.0", "rabi_p = 1.2e154+1.2e154j")
+                .replace("rabi_s = 1.0", "rabi_s = 1.2e154")
+                .replace("delta_1 = -10.0", "delta_1 = -1"),
+                [
+                    "raman: derived classical coupling r is not real; "
+                    "gate operation requires a real constant classical drive"
+                ],
+            ),
+            # a [raman] section that fails derives nothing, and no pulse.g0 is then asked for
+            (
+                RAMAN_CONFIG.replace("delta_1 = -10.0", "delta_1 = 0").replace("delta_2 = 5.0", "delta_2 = 0"),
+                [f"raman.{key}: must be finite and nonzero, got 0.0" for key in ("delta_1", "delta_2")],
+            ),
+            # one line per key, however many of its checks fail
+            (SCAN_PULSE + "kind = truncation\ndims = 2 1\n", ["scan.dims: must be strictly ascending"]),
+            # a key that fails to parse hides no other key's check
+            (
+                "[pulse]\nshape = circular\ng0 = abc\nnu = 0.2\nloops = 0\n",
+                ["pulse.g0: invalid numeric expression 'abc'", "pulse.loops: must be >= 1"],
+            ),
+            (
+                "[pulse]\nshape = sampled\ndt = 0\nvalues = 0.1\n",
+                ["pulse.dt: must be finite and > 0, got 0.0", "pulse.values: must hold at least two samples"],
+            ),
+            (
+                "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nT = -1\nr0 = -1\n",
+                ["pulse.T: must be finite and > 0, got -1.0", R0_NEGATIVE],
+            ),
+            # a joint check runs once the fields it reads have passed, whatever else failed
+            (
+                "[pulse]\nshape = piecewise\nsegments = 1 0.1; 0.5 -0.1\nT = 1.6\nr0 = -1\n",
+                ["pulse.T: must equal the duration 1.5 its shape covers, got 1.6", R0_NEGATIVE],
+            ),
+            (
+                "[pulse]\nshape = sampled\ndt = 1e308\nvalues = 0.1 0.1j -0.1\nr0 = -1\n",
+                ["pulse.values: must span a finite duration, got 2 x 1e+308", R0_NEGATIVE],
+            ),
+            # swept values are judged even when the pulse fails
+            (
+                "[pulse]\nshape = circular\ng0 = abc\nnu = 0.2\n\n[sweep]\nr0 = -1\ng0 = 0\n",
+                [
+                    "pulse.g0: invalid numeric expression 'abc'",
+                    "sweep.r0: must be finite and >= 0, got -1.0",
+                    "sweep.g0: must be finite and > 0, got 0.0",
+                ],
+            ),
+            (
+                "[pulse]\nshape = piecewise\nsegments = 1 0.1; 0.5 -0.1\nr0 = -1\n\n[sweep]\nT = 1.5 1.6\n",
+                [R0_NEGATIVE, "sweep.T: must equal the duration 1.5 its shape covers, got 1.6"],
+            ),
         ],
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
             "sweep-shape-field", "sweep-values", "scan-dims-floor", "rwa-scan-dims", "truncation-scan-r0-values",
             "truncation-scan-dim", "no-pulse", "loops", "loops-with-T", "nu-zero", "nu-zero-with-T", "g0-negative",
             "g0-and-nu", "raman-omega_p", "raman-omega_s", "raman-omega_g", "raman-omega_c", "raman-omega_0",
-            "raman-complex-r",
+            "raman-complex-r", "raman-overflow", "raman-modulus-g", "raman-modulus-r", "raman-detunings",
+            "scan-dims-once", "g0-unparsed-and-loops", "sampled-dt-and-one-sample", "T-and-r0", "duration-and-r0",
+            "sampled-span-and-r0", "sweep-after-failed-pulse", "sweep-duration-after-failed-pulse",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -513,7 +586,7 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,pulse,code,message",
     [
-        ("phases", "g0 = 0.2\nnu = 1\nloops = 1e308\n", 1, "config error: pulse: PulseSpec.T must be finite"),
+        ("phases", "g0 = 0.2\nnu = 1\nloops = 1e308\n", 1, "config error: pulse.T: must be finite and > 0, got inf"),
         ("gate", "g0 = 0.2\nnu = 1\nr0 = 1e308\n\n[run]\nmethod = numeric_rwa\ndt = 0.02\n", 0, ""),
         (
             "gate",
@@ -919,12 +992,28 @@ FUZZ_ENTRIES = st.lists(
 )
 
 
+CONFIG_ERROR_LINE = re.compile(r"config error: \w+(\.\w+)?: ")
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def assert_documented_outcome(code, captured):
+    """A documented exit code; finite numbers on exit 0, no output on exits 1 and 2, and one key per error line."""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert not NON_FINITE.search(captured.out)
+    if code in (1, 2):
+        assert captured.out == ""
+    if code == 1:
+        assert all(CONFIG_ERROR_LINE.match(line) for line in captured.err.splitlines())
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     base=st.sampled_from(["circular", "piecewise", "sampled"]),
     entries=FUZZ_ENTRIES,
-    command=st.sampled_from(["phases", "sweep"]),
+    command=st.sampled_from(["phases", "gate", "sweep"]),
 )
 def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries, command):
     # a README drive with entries set, added or replaced; outputs land in tmp_path
@@ -934,8 +1023,8 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, cap
         load_config(cfg)
     except ConfigError:
         pass
-    assert cli.main([command, "--config", cfg, "--steps", "64"]) in (0, 1, 2, 3)
-    capsys.readouterr()
+    code = cli.main([command, "--config", cfg, "--steps", "64"])
+    assert_documented_outcome(code, capsys.readouterr())
 
 
 NUMERIC_FUZZ_PULSE = "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 4\n\n"
@@ -969,8 +1058,61 @@ def test_fuzzed_numeric_configs_end_in_a_documented_exit_code(tmp_path, monkeypa
     command, tail = NUMERIC_FUZZ_BASES[base]
     text = NUMERIC_FUZZ_PULSE + tail
     cfg = write(tmp_path / "f.ini", fuzzed_config(text, entries))
-    assert cli.main([command, "--config", cfg]) in (0, 1, 2, 3)
-    capsys.readouterr()
+    assert_documented_outcome(cli.main([command, "--config", cfg]), capsys.readouterr())
+
+
+_BAD_EVERYWHERE = [
+    *(("pulse", "r0", value) for value in ("-1", "nan", "2j")),
+    *(("pulse", "T", value) for value in ("-1", "0", "abc")),
+    *(("sweep", key, value) for key, value in (("r0", "0 -1"), ("T", "0"), ("T", "abc"), ("g0", "0.1 0"), ("nu", "0"))),
+]
+_BAD_CIRCLE = [
+    *(("pulse", "nu", value) for value in ("0", "abc", "2j")),
+    *(("pulse", "phase0", value) for value in ("abc", "1e400")),
+    *(("pulse", "loops", value) for value in ("0", "1.5", "abc")),
+]
+
+# a valid config and entries each refused on its own, none of which the others' checks read: left out
+# are the T a piecewise or sampled drive must match, the overflowing loops * 2 pi / |nu| and a complex
+# derived r, whose checks read several keys
+UNION_BASES = {
+    "circular": (GOLDEN_CONFIGS["circular"], [*_BAD_EVERYWHERE, *_BAD_CIRCLE, *(
+        ("pulse", "g0", value) for value in ("-1", "0", "abc", "1e400"))]),
+    "piecewise": (GOLDEN_CONFIGS["piecewise"], [*_BAD_EVERYWHERE, *(
+        ("pulse", "segments", value) for value in ("1 0.1; -1 0.1", "1 0.1; 1 nan", "1e308 0.1; 1e308 0.1", "x", "")
+    )]),
+    "sampled": (GOLDEN_CONFIGS["sampled"], [
+        *_BAD_EVERYWHERE,
+        *(("pulse", "dt", value) for value in ("0", "-0.5", "abc")),
+        *(("pulse", "values", value) for value in ("0.1", "0.1 garbage", "")),
+    ]),
+    "raman": (RAMAN_CONFIG, [
+        *_BAD_EVERYWHERE,
+        *_BAD_CIRCLE,
+        ("pulse", "g0", "-1"),
+        *(("raman", key, value) for key, value in (("delta_1", "0"), ("delta_1", "abc"), ("delta_2", "0"),
+                                                  ("rabi_p", "abc"), ("kappa_e", "1e400"))),
+    ]),
+}
+
+
+def config_errors(tmp_path, text) -> set[str]:
+    try:
+        load_config(write(tmp_path / "u.ini", text))
+    except ConfigError as exc:
+        return set(exc.messages)
+    return set()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_errors_of_two_bad_keys_hold_the_errors_of_each(tmp_path, data):
+    # "every violated precondition, all at once": one bad key hides no other
+    text, bad = UNION_BASES[data.draw(st.sampled_from(sorted(UNION_BASES)))]
+    pair = data.draw(st.lists(st.sampled_from(bad), min_size=2, max_size=2, unique_by=lambda entry: entry[:2]))
+    alone = [config_errors(tmp_path, fuzzed_config(text, [entry])) for entry in pair]
+    assert all(alone)
+    assert config_errors(tmp_path, fuzzed_config(text, pair)) >= alone[0] | alone[1]
 
 
 def run_child(args, **env):

@@ -18,6 +18,7 @@ from loopgate import (
     effective_couplings,
     sigma_x_basis_change,
 )
+from loopgate.errors import InvalidFields
 from loopgate.model import (
     branch_lambda,
     cumulative_drive_integral,
@@ -68,7 +69,7 @@ class TestPulseSpec:
         PulseSpec(g_shape=shape, T=1.5)
         with pytest.raises(ValueError):
             PulseSpec(g_shape=shape, T=1.6)
-        with pytest.raises(ValueError, match="PiecewiseConstant needs at least one segment"):
+        with pytest.raises(ValueError, match="PiecewiseConstant.segments must hold at least one segment"):
             PiecewiseConstant(segments=())
 
     def test_sampled_duration(self):
@@ -76,8 +77,28 @@ class TestPulseSpec:
         assert PulseSpec(g_shape=shape, T=1.0).T == 1.0
         with pytest.raises(ValueError):
             PulseSpec(g_shape=shape, T=1.5)
-        with pytest.raises(ValueError, match="Sampled needs at least two samples"):
+        with pytest.raises(ValueError, match="Sampled.values must hold at least two samples"):
             Sampled(dt=0.5, values=(0.1,))
+
+    def test_every_refused_field_is_named(self):
+        with pytest.raises(InvalidFields) as info:
+            Circular(g0=-1.0, nu=0.0)
+        assert info.value.failures == [
+            ("g0", "must be finite and > 0, got -1.0"),
+            ("nu", "must be finite and nonzero, got 0.0"),
+        ]
+        assert str(info.value) == (
+            "Circular.g0 must be finite and > 0, got -1.0; Circular.nu must be finite and nonzero, got 0.0"
+        )
+
+    def test_failures_judges_the_given_fields(self):
+        shape = PiecewiseConstant(segments=((1.0, 0.1), (0.5, 0.2j)))
+        # the duration match reads g_shape and T, so it runs once both are given and T has passed
+        assert PulseSpec.failures(T=1.6, r0=-1.0) == [("r0", "must be finite and >= 0, got -1.0")]
+        mismatch = ("T", "must equal the duration 1.5 its shape covers, got 1.6")
+        assert PulseSpec.failures(g_shape=shape, T=1.6) == [mismatch]
+        assert PulseSpec.failures(g_shape=shape, T=-1.0) == [("T", "must be finite and > 0, got -1.0")]
+        assert Sampled.failures(values=(0.1,)) == [("values", "must hold at least two samples")]
 
     def test_negative_r0_rejected(self):
         with pytest.raises(ValueError):
