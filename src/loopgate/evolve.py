@@ -13,8 +13,10 @@ the sign of a, so the |--> generator is P times the |++> generator times P.
 The singlet rows, and on the RWA tier both middle branches, never move. The
 full propagator (:func:`propagate_numeric`) is the stepped identity of the
 moving rows, and the numeric gate (:mod:`loopgate.gate`) their stepped vacuum
-columns; both are placed on all four qubit rows by one embedding,
-I + Q (X - I) Q^dag, so no product with a 4 dim side is formed.
+columns. Both take one path, which refuses a stepped block X whose unitarity
+defect max|X^dag X - I| exceeds UNITARITY_TOL, and places X on all four qubit
+rows by one embedding, I + Q (X - I) Q^dag, so no product with a 4 dim side
+is formed.
 It refuses more than MAX_SAMPLES steps, over one propagation or over all the
 numeric gates of one command together, before building any array
 (:func:`step_count`); the budget is that of the scalar loop engine in
@@ -210,26 +212,6 @@ def step_count(t0, t1, dt, T, copies=1):
     return max(1, math.ceil(steps - 1e-9))
 
 
-def _step_moving_rows(tier, pulse, space, start, t0, t1, dt):
-    """Step ``start`` (moving row, column) over [t0, t1] under the pulse's generator.
-
-    The moving rows are the dim |++> cavity rows on the RWA tier and the 3 dim
-    triplet rows on the rotating and full tiers; every tier takes its operators
-    on them, and its rest frame, from :mod:`loopgate.model` alike. Returns the
-    stepped block and the largest series order used.
-    """
-    n = step_count(t0, t1, dt, pulse.T)
-    h = (t1 - t0) / n
-    # a pulse with a rest frame is stepped there, where the weights of its first
-    # midpoint serve all n steps
-    frame = rest_frame(tier, pulse, space)
-    if frame is None:
-        weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
-    else:
-        weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
-    return _step_blocks(*hamiltonian_operators(tier, space), weights, h, start, frame, repeats)
-
-
 def _embed_moving_rows(block, size, basis):
     """I + Q (X - I) Q^dag: the (4 size)^2 matrix that acts as X on the moving rows and as I elsewhere.
 
@@ -257,6 +239,44 @@ def _embed_moving_rows(block, size, basis):
     return matrix
 
 
+def _stepped(tier, pulse, space, t0, t1, dt, vacuum=False):
+    """Step the moving rows over [t0, t1]: the matrix, the largest series order and the unitarity defect.
+
+    The stepped block X is the identity of the moving rows, or with ``vacuum``
+    the vacuum column of each moving row; every tier takes its operators on
+    them, and its rest frame, from :mod:`loopgate.model` alike. A unitarity
+    defect max|X^dag X - I| above UNITARITY_TOL is refused; the -- block P X P
+    of the RWA tier has the same defect, since P only flips signs. The matrix
+    is X placed by :func:`_embed_moving_rows`: the full bare-basis propagator,
+    or with ``vacuum`` the 4 x 4 branch-basis block of the vacuum rows (every
+    |branch> (x) |vacuum> amplitude that stays in vacuum), whose RWA -- entry
+    is the ++ entry, since the vacuum has even parity.
+    """
+    block = np.eye(_MOVING_ROWS[tier] * space.dim)
+    if vacuum:
+        # a copy: a view would keep the whole identity alive while its columns are stepped
+        block = block[:, :: space.dim].copy()
+    n = step_count(t0, t1, dt, pulse.T)
+    h = (t1 - t0) / n
+    # a pulse with a rest frame is stepped there, where the weights of its first
+    # midpoint serve all n steps
+    frame = rest_frame(tier, pulse, space)
+    if frame is None:
+        weights, repeats = hamiltonian_weights(tier, pulse, t0 + (np.arange(n) + 0.5) * h), None
+    else:
+        weights, repeats = hamiltonian_weights(tier, pulse, np.array([t0 + 0.5 * h])), [n]
+    block, top = _step_blocks(*hamiltonian_operators(tier, space), weights, h, block, frame, repeats)
+    defect = float(np.abs(block.conj().T @ block - np.eye(block.shape[1])).max())
+    if not (defect <= UNITARITY_TOL):
+        raise NonUnitaryResultError(
+            f"unitarity defect {defect:.3e} of the stepped block exceeds {UNITARITY_TOL:.1e}; "
+            "reduce dt or enlarge the Fock space"
+        )
+    if vacuum:
+        return _embed_moving_rows(block[:: space.dim], 1, np.eye(4)), top, defect
+    return _embed_moving_rows(block, space.dim, sigma_x_basis_change()), top, defect
+
+
 def propagate_numeric(
     tier: HamiltonianTier,
     pulse: PulseSpec,
@@ -265,18 +285,5 @@ def propagate_numeric(
     t1: float,
     dt: float,
 ) -> NumericPropagation:
-    """The full propagator over [t0, t1]: the stepped identity of the moving rows, on all four qubit rows.
-
-    The stepped block is placed by :func:`_embed_moving_rows`.
-    """
-    eye = np.eye(_MOVING_ROWS[tier] * space.dim)
-    block, top = _step_moving_rows(tier, pulse, space, eye, t0, t1, dt)
-    # the -- block P X P of the RWA tier has the same defect, since P only flips signs
-    defect = float(np.abs(block.conj().T @ block - eye).max())
-    if not (defect <= UNITARITY_TOL):
-        raise NonUnitaryResultError(
-            f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}; "
-            "reduce dt or enlarge the Fock space"
-        )
-    unitary = _embed_moving_rows(block, space.dim, sigma_x_basis_change())
-    return NumericPropagation(unitary, top, defect)
+    """The full propagator over [t0, t1]: the stepped identity of the moving rows, on all four qubit rows."""
+    return NumericPropagation(*_stepped(tier, pulse, space, t0, t1, dt))

@@ -15,9 +15,9 @@ import numpy as np
 
 from .design import GATE_METHODS, design_circle, nontriviality
 from .errors import NonUnitaryResultError, StepTooCoarseError
-from .evolve import UNITARITY_TOL, _embed_moving_rows, _step_moving_rows, step_count
+from .evolve import _stepped, step_count
 from .fock import FockSpace
-from .model import _MOVING_ROWS, Circular, HamiltonianTier, PulseSpec
+from .model import Circular, HamiltonianTier, PulseSpec
 from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
 
 # minimum vacuum-return amplitude for a trustworthy phase readout
@@ -38,9 +38,10 @@ class GateReport:
     fidelity: float
     nontrivial: bool
     method: str
-    # numeric methods only: largest step-series order and norm drift of the stepped vacuum columns
+    # numeric methods only: largest step-series order and unitarity defect max|X^dag X - I|
+    # of the stepped vacuum columns X
     max_order: int = 0
-    norm_drift: float = 0.0
+    unitarity_defect: float = 0.0
 
 
 def ideal_gate(gamma: float) -> np.ndarray:
@@ -81,10 +82,10 @@ def gate_matrix(
 
     if method == "analytic":
         extracted = solve_loop(pulse, n_steps, require_closed=False).breakdown("++").gamma_total
-        matrix, diagonality, max_order, norm_drift = ideal_gate(extracted), 0.0, 0, 0.0
+        matrix, diagonality, max_order, defect = ideal_gate(extracted), 0.0, 0, 0.0
     else:
         tier = HamiltonianTier.RWA_EFFECTIVE if method == "numeric_rwa" else HamiltonianTier.ROTATING_FRAME
-        [(matrix, extracted, diagonality, max_order, norm_drift)] = _numeric_gates([(tier, pulse, space)], dt)
+        [(matrix, extracted, diagonality, max_order, defect)] = _numeric_gates([(tier, pulse, space)], dt)
 
     return GateReport(
         matrix=matrix,
@@ -95,21 +96,21 @@ def gate_matrix(
         nontrivial=nontriviality(extracted),
         method=method,
         max_order=max_order,
-        norm_drift=norm_drift,
+        unitarity_defect=defect,
     )
 
 
 def _numeric_gates(jobs, dt):
-    """(matrix, gamma, diagonality, max_order, norm_drift) of each (tier, pulse, space) job, in order.
+    """(matrix, gamma, diagonality, max_order, unitarity_defect) of each (tier, pulse, space) job, in order.
 
     The one home of every numeric gate's preconditions. The jobs share T and
     dt (T/4000 when None). Before the first job is stepped, every
     rotating-tier job must resolve its 2*r0 oscillation and the steps of all
     the jobs together must fit MAX_SAMPLES. Then the jobs are stepped one at a
-    time: each steps the vacuum column of each moving row, refuses a norm
-    drift of those columns above UNITARITY_TOL, and reads the 4x4 branch
-    matrix off their vacuum rows (every |branch> (x) |vacuum> amplitude that
-    stays in vacuum), gauged so the middle entries equal 1.
+    time: each steps the vacuum column of each moving row, under the
+    unitarity guard of :func:`loopgate.evolve._stepped`, refuses a cavity that
+    does not return to vacuum, and gauges the 4x4 branch-basis vacuum block so
+    the middle entries equal 1.
     """
     T = jobs[0][1].T
     dt = T / 4000 if dt is None else dt
@@ -123,19 +124,7 @@ def _numeric_gates(jobs, dt):
     step_count(0.0, T, dt, T, copies=len(jobs))
     gates = []
     for tier, pulse, space in jobs:
-        # the vacuum column of each moving row: the ++ row on the RWA tier, the triplet rows otherwise
-        rows = _MOVING_ROWS[tier]
-        start = np.zeros((rows * space.dim, rows))
-        start[:: space.dim] = np.eye(rows)
-        moved, order = _step_moving_rows(tier, pulse, space, start, 0.0, T, dt)
-        drift = float(np.max(np.abs(np.linalg.norm(moved, axis=0) - 1.0)))
-        if not (drift <= UNITARITY_TOL):
-            raise NonUnitaryResultError(
-                f"state norms drifted by {drift:.3e}; reduce dt or enlarge the Fock space"
-            )
-        # the vacuum rows of the stepped columns, on all four branches; the RWA -- entry is
-        # the ++ entry, since the vacuum has even parity
-        matrix = _embed_moving_rows(moved[:: space.dim], 1, np.eye(4))
+        matrix, order, defect = _stepped(tier, pulse, space, 0.0, T, dt, vacuum=True)
         returns = np.abs(np.diag(matrix))
         if not (returns.min() >= _VACUUM_RETURN_MIN):
             raise NonUnitaryResultError(
@@ -144,7 +133,7 @@ def _numeric_gates(jobs, dt):
             )
         matrix = matrix / matrix[1, 1]
         off = matrix - np.diag(np.diag(matrix))
-        gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max()), order, drift))
+        gates.append((matrix, float(np.angle(matrix[0, 0])), float(np.abs(off).max()), order, defect))
     return gates
 
 
@@ -174,14 +163,3 @@ def entangling_check(report: GateReport) -> float:
     probs = probs[probs > 1e-15]
     return float(-np.sum(probs * np.log2(probs)))
 
-
-__all__ = [
-    "GATE_METHODS",
-    "GateReport",
-    "design_circular_pulse",
-    "entangling_check",
-    "gate_fidelity",
-    "gate_matrix",
-    "ideal_gate",
-    "nontriviality",
-]

@@ -904,6 +904,22 @@ class TestRamanSection:
         assert load_config(cfg).pulse.r0 == 0.3
 
 
+def fuzzed_config(base: str, entries) -> str:
+    """A config with entries set, added or replaced on the base text."""
+    sections: dict[str, dict[str, str]] = {}
+    for line in base.splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), {})
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            current[key.strip()] = value.strip()
+    for section, key, value in entries:
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for name, body in sections.items()
+    )
+
+
 GOLDEN_CONFIGS = {
     # the README's example drives, each closed so every subcommand accepts it
     "circular": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\nphase0 = 0\nr0 = 0\nloops = 1\n\n"
@@ -916,6 +932,22 @@ GOLDEN_CONFIGS = {
     "rwa": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = rwa\nr0_values = 1 5 25\n",
     "truncation": "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\nkind = truncation\ndims = 8 12 16\n",
 }
+# numeric gates on the README drives: the RWA tier at dim 12 and the default dt, and the
+# rotating tier at r0 = 20, dim 8 and dt = 0.002; their outputs were recorded before the
+# numeric gate and the full propagator shared one stepping path
+GOLDEN_CONFIGS.update(
+    {
+        f"{drive}_{tier}": fuzzed_config(GOLDEN_CONFIGS[drive], entries)
+        for drive in ("circular", "piecewise", "sampled")
+        for tier, entries in (
+            ("rwa", [("space", "dim", "12"), ("run", "method", "numeric_rwa")]),
+            (
+                "rotating",
+                [("pulse", "r0", "20"), ("space", "dim", "8"), ("run", "method", "numeric_rotating"), ("run", "dt", "0.002")],
+            ),
+        )
+    }
+)
 
 FIXED_REPORTS = {
     "rwa": ValidationReport(
@@ -966,22 +998,6 @@ _FUZZ_VALUES = (
 )
 
 
-def fuzzed_config(base: str, entries) -> str:
-    """A config with entries set, added or replaced on the base text."""
-    sections: dict[str, dict[str, str]] = {}
-    for line in base.splitlines():
-        if line.startswith("["):
-            current = sections.setdefault(line.strip("[]"), {})
-        elif "=" in line:
-            key, value = line.split("=", 1)
-            current[key.strip()] = value.strip()
-    for section, key, value in entries:
-        sections.setdefault(section, {})[key] = value
-    return "".join(
-        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for name, body in sections.items()
-    )
-
-
 FUZZ_ENTRIES = st.lists(
     st.tuples(
         st.sampled_from(["pulse", "raman", "space", "run", "output", "scan", "sweep", "extra"]),
@@ -1008,6 +1024,8 @@ def assert_documented_outcome(code, captured):
         assert all(CONFIG_ERROR_LINE.match(line) for line in captured.err.splitlines())
 
 
+# hypothesis's failure report trips this deprecation; ignored as the outermost mark, a failure prints its example
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -1049,6 +1067,8 @@ NUMERIC_FUZZ_ENTRIES = st.lists(
 )
 
 
+# hypothesis's failure report trips this deprecation; ignored as the outermost mark, a failure prints its example
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(base=st.sampled_from(sorted(NUMERIC_FUZZ_BASES)), entries=NUMERIC_FUZZ_ENTRIES)

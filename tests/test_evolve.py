@@ -23,7 +23,7 @@ from loopgate import (
     solve_loop,
     vacuum,
 )
-from loopgate import evolve, gate
+from loopgate import evolve
 from loopgate.model import (
     _MOVING_ROWS,
     _PLUS_COUNT,
@@ -172,7 +172,7 @@ class TestNumericPropagator:
         assert np.array_equal(matrix - np.diag(np.diag(matrix)), np.zeros((4, 4)))
         assert matrix[3, 3] == matrix[0, 0]
         assert 1 <= report.max_order < evolve.SERIES_TERMS
-        assert 0.0 <= report.norm_drift < 1e-12
+        assert 0.0 <= report.unitarity_defect < 1e-12
 
     def test_gate_steps_only_the_vacuum_columns(self, standard_pulse, monkeypatch):
         # one dim x 1 column on the RWA tier, three 3 dim x 3 triplet columns on the rotating tier
@@ -548,9 +548,9 @@ class TestGuards:
         with pytest.raises(SimulationGuard, match="32 substeps needed .* above the limit of 31"):
             propagate_numeric(*args)
 
-    def test_nan_states_trip_the_norm_drift_guard(self, standard_pulse, monkeypatch):
+    def test_nan_states_trip_the_gate_unitarity_guard(self, standard_pulse, monkeypatch):
         monkeypatch.setattr(evolve, "_step_blocks", nan_step_blocks)
-        with pytest.raises(NonUnitaryResultError, match="drifted"):
+        with pytest.raises(NonUnitaryResultError, match="unitarity defect"):
             gate_matrix(standard_pulse, FockSpace(4), method="numeric_rwa", dt=0.1)
 
     def test_nan_propagator_trips_the_unitarity_guard(self, standard_pulse, monkeypatch):
@@ -558,9 +558,25 @@ class TestGuards:
         with pytest.raises(NonUnitaryResultError, match="unitarity defect"):
             propagate_numeric(HamiltonianTier.RWA_EFFECTIVE, standard_pulse, FockSpace(4), 0.0, 1.0, 0.1)
 
+    def test_vacuum_columns_that_lose_orthogonality_trip_the_gate_unitarity_guard(self, monkeypatch):
+        # column 0 takes 1e-6 of column 1 and is renormalised: every column keeps its norm,
+        # but the overlap of the two, about 1e-6, is far above UNITARITY_TOL
+        step_blocks = evolve._step_blocks
+
+        def skewed(*args):
+            block, top = step_blocks(*args)
+            block[:, 0] += 1e-6 * block[:, 1]
+            block[:, 0] /= np.linalg.norm(block[:, 0])
+            return block, top
+
+        monkeypatch.setattr(evolve, "_step_blocks", skewed)
+        pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=0.2), T=2 * math.pi / 0.2, r0=20.0)
+        with pytest.raises(NonUnitaryResultError, match="unitarity defect"):
+            gate_matrix(pulse, FockSpace(8), method="numeric_rotating", dt=0.002)
+
     def test_nan_states_trip_the_vacuum_return_guard(self, standard_pulse, monkeypatch):
         # the stepped columns keep their norms, but the gate read off their vacuum rows is nan
-        monkeypatch.setattr(gate, "_embed_moving_rows", lambda *args: np.full((4, 4), np.nan + 0j))
+        monkeypatch.setattr(evolve, "_embed_moving_rows", lambda *args: np.full((4, 4), np.nan + 0j))
         with pytest.raises(NonUnitaryResultError, match="vacuum"):
             gate_matrix(standard_pulse, FockSpace(8), method="numeric_rwa")
 

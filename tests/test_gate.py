@@ -89,10 +89,10 @@ class TestGateMatrix:
 
     def test_reports_carry_stepper_health(self, standard_pulse):
         analytic = gate_matrix(standard_pulse, FockSpace(8), method="analytic", n_steps=1000)
-        assert (analytic.max_order, analytic.norm_drift) == (0, 0.0)
+        assert (analytic.max_order, analytic.unitarity_defect) == (0, 0.0)
         numeric = gate_matrix(standard_pulse, FockSpace(16), method="numeric_rwa", dt=standard_pulse.T / 500)
         assert 1 <= numeric.max_order < 29
-        assert 0.0 <= numeric.norm_drift < 1e-12
+        assert 0.0 <= numeric.unitarity_defect < 1e-12
         # the middle branches never move on this tier
         assert numeric.matrix[2, 2] == 1.0
 
