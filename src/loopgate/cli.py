@@ -16,13 +16,12 @@ no numpy. The ``loopgate`` command defaults OPENBLAS_NUM_THREADS to 1.
 
 import argparse
 import itertools
-import math
 import os
 import sys
 import warnings
 from dataclasses import asdict
 
-from .config import RunConfig, _sweep_pulse, load_config, parse_int, parse_real
+from .config import RunConfig, load_config, parse_int, parse_real
 from .errors import ConfigError, OpenLoopError, SimulationGuard, TrivialTargetWarning
 
 OUT_DIR_ENV = "LOOPGATE_OUT_DIR"
@@ -199,25 +198,13 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.overrides)
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
-    fields = list(cfg.sweep.fields)
-    if not fields:
-        raise ConfigError("sweep: at least one swept field is required")
-    grids = [cfg.sweep.fields[name] for name in fields]
-    total = math.prod(len(g) for g in grids)
-    if total > cfg.sweep.max_points:
-        raise ConfigError(
-            f"sweep: grid has {total} points, above max_points = {cfg.sweep.max_points}"
-        )
     rows = []
-    for combo in itertools.product(*grids):
-        pulse = cfg.pulse
-        for name, value in zip(fields, combo):
-            pulse = _sweep_pulse(pulse, name, value)
+    for values, pulse in cfg.sweep.points(cfg.pulse):
         solution = solve_loop(pulse, cfg.n_steps, require_closed=False)
         breakdown = solution.breakdown("++")
         rows.append(
             {
-                **{name: value for name, value in zip(fields, combo)},
+                **values,
                 "gamma_g": breakdown.gamma_g,
                 "gamma_d": breakdown.gamma_d,
                 "gamma_total": breakdown.gamma_total,

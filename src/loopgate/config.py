@@ -21,7 +21,8 @@ that fails hides no other key's checks. The pulse dataclasses judge their own
 fields (model), so a field they refuse is reported under pulse.<field> or
 raman.<field>, even when it was derived: T from loops and nu, r0, g0 and
 phase0 from [raman]. Each swept value meets the same checks, also when the
-pulse itself fails.
+pulse itself fails, and the sweep grid's own rules (at least one swept field,
+at most max_points points, 4096 by default) are reported with the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import ast
 import cmath
 import configparser
 import dataclasses
+import itertools
 import math
 import operator
 import re
@@ -142,8 +144,28 @@ class ScanConfig:
 
 @dataclass
 class SweepConfig:
+    """The swept pulse fields, each with its value list, in the order [sweep] gives them.
+
+    load_config has judged every value and bounded the grid by sweep.max_points.
+    """
+
     fields: dict[str, list[float]]
-    max_points: int = 4096
+
+    def points(self, base: PulseSpec):
+        """(values, pulse) for each grid point, the last field varying fastest.
+
+        Each pulse is base with the point's shape fields set in one replace of its
+        shape and the rest in one replace of the pulse; each replace re-runs its
+        class's checks, and no shape is rebuilt when no shape field is swept.
+        """
+        on_shape = [name for name in self.fields if _has_field(base.g_shape, name)]
+        for combo in itertools.product(*self.fields.values()):
+            values = dict(zip(self.fields, combo))
+            shape = base.g_shape
+            if on_shape:
+                shape = replace(shape, **{name: values[name] for name in on_shape})
+            rest = {name: value for name, value in values.items() if name not in on_shape}
+            yield values, replace(base, g_shape=shape, **rest)
 
 
 @dataclass
@@ -327,13 +349,6 @@ def _build_scan(reader: _Reader) -> ScanConfig | None:
     return scan
 
 
-def _sweep_pulse(base: PulseSpec, key: str, value: float) -> PulseSpec:
-    """base with one swept field set: on its shape when the shape has that field, else on the PulseSpec."""
-    if _has_field(base.g_shape, key):
-        return replace(base, g_shape=replace(base.g_shape, **{key: value}))
-    return replace(base, **{key: value})
-
-
 def _not_sweepable(text):
     raise ValueError(f"not a sweepable pulse field {_SWEEPABLE}")
 
@@ -345,11 +360,12 @@ def _build_sweep(reader: _Reader, shape_name: str | None, shape: GShape | None) 
     from .model import PulseSpec
 
     shape_cls = _shapes().get(shape_name)
-    max_points = reader.get("sweep", "max_points", parse_int, default=SweepConfig.max_points)
+    max_points = reader.get("sweep", "max_points", parse_int, default=4096)
+    keys = [key for key in parser.options("sweep") if key != "max_points"]
+    # a sweep whose keys were all refused has had each reported under its own path
+    reader.check(keys, "sweep", "at least one swept field is required")
     fields: dict[str, list[float]] = {}
-    for key in parser.options("sweep"):
-        if key == "max_points":
-            continue
+    for key in keys:
         path = f"sweep.{key}"
         values = reader.get("sweep", key, list_of(parse_real) if key in _SWEEPABLE else _not_sweepable)
         owner = PulseSpec if _has_field(PulseSpec, key) else shape_cls
@@ -363,8 +379,11 @@ def _build_sweep(reader: _Reader, shape_name: str | None, shape: GShape | None) 
             for value in values:
                 for _, message in owner.failures(**context, **{key: value}):
                     reader.fail(path, message)
-    reader.check(max_points is None or max_points >= 1, "sweep.max_points", "must be >= 1")
-    return SweepConfig(fields=fields, max_points=max_points)
+    # a max_points that failed to parse bounds nothing
+    if "sweep.max_points" not in reader.invalid and reader.check(max_points >= 1, "sweep.max_points", "must be >= 1"):
+        total = math.prod(len(values) for values in fields.values())
+        reader.check(total <= max_points, "sweep", f"grid has {total} points, above max_points = {max_points}")
+    return SweepConfig(fields=fields)
 
 
 def load_config(path: str, overrides=()) -> RunConfig:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import loopgate
 from loopgate import Circular, cli, phase, validate
-from loopgate.config import _sweep_pulse, load_config, parse_scalar
+from loopgate.config import load_config, parse_scalar
 from loopgate.errors import ConfigError
 from loopgate.evolve import MAX_SAMPLES
 from loopgate.fock import MAX_DIM
@@ -281,6 +282,15 @@ class TestConfigSyntax:
                 "[pulse]\nshape = piecewise\nsegments = 1 0.1; 0.5 -0.1\nr0 = -1\n\n[sweep]\nT = 1.5 1.6\n",
                 [R0_NEGATIVE, "sweep.T: must equal the duration 1.5 its shape covers, got 1.6"],
             ),
+            # the sweep grid's own rules are reported with the other errors
+            (
+                CIRCULAR_CONFIG + "\n[space]\ndim = 1\n\n[sweep]\nmax_points = 2\ng0 = 0.05 0.1 0.2\n",
+                ["space.dim: must be >= 2", "sweep: grid has 3 points, above max_points = 2"],
+            ),
+            (
+                CIRCULAR_CONFIG.replace("n_steps = 65536", "n_steps = 1") + "\n[sweep]\nmax_points = 10\n",
+                ["run.n_steps: must be >= 2", "sweep: at least one swept field is required"],
+            ),
         ],
         ids=[
             "sampled-dt", "sampled-dt-and-values", "scan-dims", "scan-r0-values", "circular-g0", "sweep-fields",
@@ -290,6 +300,7 @@ class TestConfigSyntax:
             "raman-complex-r", "raman-overflow", "raman-modulus-g", "raman-modulus-r", "raman-detunings",
             "scan-dims-once", "g0-unparsed-and-loops", "sampled-dt-and-one-sample", "T-and-r0", "duration-and-r0",
             "sampled-span-and-r0", "sweep-after-failed-pulse", "sweep-duration-after-failed-pulse",
+            "sweep-grid-and-dim", "sweep-no-field-and-n-steps",
         ],
     )
     def test_each_offending_field_is_reported_once_under_its_own_key(self, tmp_path, capsys, text, messages):
@@ -366,6 +377,15 @@ class TestFlags:
 
 
 class TestPhasesCommand:
+    def test_value_error_from_the_engine_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise ValueError("x")
+
+        monkeypatch.setattr(phase, "solve_loop", refused)
+        cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG)
+        assert cli.main(["phases", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "config error: x\n")
+
     def test_circular_values(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", CIRCULAR_CONFIG)
         assert cli.main(["phases", "--config", cfg]) == 0
@@ -766,6 +786,19 @@ class TestSweepCommand:
             CIRCULAR_CONFIG + "\n[sweep]\nmax_points = 2\ng0 = 0.05 0.1 0.2\n",
         )
         assert cli.main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: sweep: grid has 3 points, above max_points = 2\n"
+
+    def test_points_set_each_field_on_its_owner_in_row_order(self, tmp_path):
+        cfg = load_config(write(tmp_path / "s.ini", CIRCULAR_CONFIG + "\n[sweep]\ng0 = 0.05 0.1\nr0 = 0 2\n"))
+        points = list(cfg.sweep.points(cfg.pulse))
+        expected = [(g0, r0) for g0 in (0.05, 0.1) for r0 in (0.0, 2.0)]
+        assert [values for values, _ in points] == [{"g0": g0, "r0": r0} for g0, r0 in expected]
+        assert [(pulse.g_shape, pulse.r0) for _, pulse in points] == [
+            (replace(cfg.pulse.g_shape, g0=g0), r0) for g0, r0 in expected
+        ]
+        # a sweep of pulse fields alone builds no new shape
+        cfg = load_config(write(tmp_path / "r.ini", CIRCULAR_CONFIG + "\n[sweep]\nr0 = 0 2\n"))
+        assert all(pulse.g_shape is cfg.pulse.g_shape for _, pulse in cfg.sweep.points(cfg.pulse))
 
     def test_bad_values_are_refused_before_any_grid_point(self, tmp_path, capsys, monkeypatch):
         def solved(*args, **kwargs):
@@ -789,10 +822,10 @@ class TestSweepCommand:
     def assert_rows_match_point_solves(monkeypatch, cfg, rows):
         """Each row has the bits of a solve of its own point, with nothing left over from another point."""
         run_config = load_config(cfg)
-        for row in rows:
-            pulse = run_config.pulse
-            for name in run_config.sweep.fields:
-                pulse = _sweep_pulse(pulse, name, row[name])
+        points = list(run_config.sweep.points(run_config.pulse))
+        assert len(points) == len(rows)
+        for row, (values, pulse) in zip(rows, points):
+            assert values == {name: row[name] for name in values}
             monkeypatch.setattr(phase, "_last_phasor", (None, None))
             solution = phase.solve_loop(pulse, run_config.n_steps, require_closed=False)
             breakdown = solution.breakdown("++")

@@ -538,6 +538,10 @@ class TestGuards:
         with pytest.raises(SimulationGuard, match="rest frame turns by inf"):
             propagate_numeric(HamiltonianTier.ROTATING_FRAME, pulse, FockSpace(4), 0.0, pulse.T, pulse.T / 100)
 
+    def test_step_series_that_does_not_converge_is_refused(self):
+        with pytest.raises(NonUnitaryResultError, match=r"^step series failed to converge; reduce dt$"):
+            evolve._series(np.full((2, 2), 40j), np.eye(2, dtype=complex), 1e-32)
+
     def test_substeps_share_the_step_budget(self, monkeypatch):
         # one step of generator norm bound 3 * 2 * 5 * sqrt(7) = 79.4 takes 32 substeps
         pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((3.0, 5.0),)), T=3.0)
