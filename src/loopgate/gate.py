@@ -17,7 +17,7 @@ from .design import GATE_METHODS, design_circle, nontriviality
 from .errors import NonUnitaryResultError, StepTooCoarseError
 from .evolve import _stepped, step_count
 from .fock import FockSpace
-from .model import Circular, HamiltonianTier, PulseSpec
+from .model import Circular, HamiltonianTier, PulseSpec, Sampled
 from .phase import CLOSURE_STEPS, DEFAULT_PHASE_STEPS, solve_loop
 
 # minimum vacuum-return amplitude for a trustworthy phase readout
@@ -70,10 +70,11 @@ def gate_matrix(
     defined for cyclic evolutions) or an overflowing drive. The analytic
     method is the ideal gate of the ++ total phase on n_steps intervals,
     solved without a second closure check. A numeric method is one job on its
-    tier for the numeric gate path (:func:`_numeric_gates`), with step dt
-    (T/4000 when None); the rotating tier raises StepTooCoarseError unless
-    dt * r0 < 0.1 resolves its fast 2*r0 oscillation. dt applies only to the
-    numeric methods and n_steps only to the analytic one.
+    tier for the numeric gate path (:func:`_numeric_gates`). dt applies only to
+    the numeric methods on a sampled drive, the one drive stepped in time
+    (T/4000 when None), where the rotating tier raises StepTooCoarseError
+    unless dt * r0 < 0.1 resolves its fast 2*r0 oscillation; n_steps applies
+    only to the analytic method.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"method must be one of {GATE_METHODS}, got {method!r}")
@@ -104,24 +105,28 @@ def _numeric_gates(jobs, dt):
     """(matrix, gamma, diagonality, max_order, unitarity_defect) of each (tier, pulse, space) job, in order.
 
     The one home of every numeric gate's preconditions. The jobs share T and
-    dt (T/4000 when None). Before the first job is stepped, every
-    rotating-tier job must resolve its 2*r0 oscillation and the steps of all
-    the jobs together must fit MAX_SAMPLES. Then the jobs are stepped one at a
-    time: each steps the vacuum column of each moving row, under the
-    unitarity guard of :func:`loopgate.evolve._stepped`, refuses a cavity that
-    does not return to vacuum, and gauges the 4x4 branch-basis vacuum block so
-    the middle entries equal 1.
+    dt (T/4000 when None), which acts on sampled drives alone: before the
+    first job is propagated, every rotating-tier job on a sampled drive must
+    resolve its 2*r0 oscillation, and the steps of all the sampled-drive jobs
+    together must fit MAX_SAMPLES. Then the jobs are propagated one at a time:
+    each propagates the vacuum column of each moving row, under the unitarity
+    guard of :func:`loopgate.evolve._stepped`, refuses a cavity that does not
+    return to vacuum, and gauges the 4x4 branch-basis vacuum block so the
+    middle entries equal 1.
     """
     T = jobs[0][1].T
     dt = T / 4000 if dt is None else dt
-    # only the rotating tier keeps the 2*r0 oscillation; "not <" refuses an overflowing product too
-    rotating_r0 = [pulse.r0 for tier, pulse, _ in jobs if tier is HamiltonianTier.ROTATING_FRAME]
+    # only sampled drives are stepped in time, and only the rotating tier keeps the 2*r0
+    # oscillation; "not <" refuses an overflowing product too
+    stepped = [(tier, pulse) for tier, pulse, _ in jobs if isinstance(pulse.g_shape, Sampled)]
+    rotating_r0 = [pulse.r0 for tier, pulse in stepped if tier is HamiltonianTier.ROTATING_FRAME]
     if rotating_r0 and not (dt * max(rotating_r0) < _STEP_RESOLUTION_LIMIT):
         raise StepTooCoarseError(
             f"dt * max(r0) = {dt * max(rotating_r0):.3g} >= {_STEP_RESOLUTION_LIMIT}; "
             "the 2*r0 oscillation would be unresolved; reduce dt"
         )
-    step_count(0.0, T, dt, T, copies=len(jobs))
+    if stepped:
+        step_count(T, dt, copies=len(stepped))
     gates = []
     for tier, pulse, space in jobs:
         matrix, order, defect = _stepped(tier, pulse, space, 0.0, T, dt, vacuum=True)
@@ -129,7 +134,7 @@ def _numeric_gates(jobs, dt):
         if not (returns.min() >= _VACUUM_RETURN_MIN):
             raise NonUnitaryResultError(
                 f"cavity failed to return to vacuum (min overlap {returns.min():.4f}); "
-                "enlarge the Fock space or reduce dt"
+                "enlarge the Fock space" + (" or reduce dt" if isinstance(pulse.g_shape, Sampled) else "")
             )
         matrix = matrix / matrix[1, 1]
         off = matrix - np.diag(np.diag(matrix))

@@ -156,6 +156,10 @@ class Circular(_Judged):
     def natural_duration(self) -> float | None:
         return None
 
+    def corners(self) -> np.ndarray:
+        """The times at which g jumps: none."""
+        return np.empty(0)
+
 
 @dataclass(frozen=True)
 class PiecewiseConstant(_Judged):
@@ -190,6 +194,10 @@ class PiecewiseConstant(_Judged):
 
     def natural_duration(self) -> float:
         return float(self._bounds[-1])
+
+    def corners(self) -> np.ndarray:
+        """The times at which g jumps: the inner segment bounds."""
+        return self._bounds[1:-1]
 
     def cumulative_integral(self, times: np.ndarray) -> np.ndarray:
         """Exact integral of g from 0 to each requested time."""
@@ -356,15 +364,18 @@ def rest_frame(tier: HamiltonianTier, pulse: PulseSpec, space: FockSpace) -> np.
     and the rotating tier's fast phase turns its sigma^+- pieces (|+><-| raises J by
     one) at e^{+-2 i r0 t}, while sigma_x and the identity keep J. So with
     D = nu n + 2 r0 J on the rotating tier and D = nu n on the RWA and full tiers,
-    H(t + s) = e^{i s D} H(t) e^{-i s D}. D has length 3 dim on the triplet rows, and
-    dim on the RWA tier's |++> rows. No other drive shape has such a frame.
+    H(t + s) = e^{i s D} H(t) e^{-i s D}. A piecewise drive holds g, so the same
+    holds within each segment with nu = 0: D = 2 r0 J on the rotating tier and 0
+    on the others. D has length 3 dim on the triplet rows, and dim on the RWA
+    tier's |++> rows. A sampled drive has no such frame.
     """
-    if not isinstance(pulse.g_shape, Circular):
+    if isinstance(pulse.g_shape, Sampled):
         return None
     fast = 2.0 * pulse.r0 if tier is HamiltonianTier.ROTATING_FRAME else 0.0
+    nu = pulse.g_shape.nu if isinstance(pulse.g_shape, Circular) else 0.0
     # a rate past double precision comes out inf or nan, which the stepper refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return (fast * _PLUS_COUNT[: _MOVING_ROWS[tier], None] + pulse.g_shape.nu * np.arange(space.dim)).ravel()
+        return (fast * _PLUS_COUNT[: _MOVING_ROWS[tier], None] + nu * np.arange(space.dim)).ravel()
 
 
 def hamiltonian_weights(tier: HamiltonianTier, pulse: PulseSpec, times) -> np.ndarray:

@@ -28,12 +28,13 @@ from .design import DEFAULT_PHASE_STEPS
 from .errors import OpenLoopError, SimulationGuard
 from .model import Circular, PiecewiseConstant, PulseSpec, branch_lambda, cumulative_drive_integral
 
-# longest time grid of one propagation, and of all the numeric gates of one command
-# together (gate._numeric_gates): measured peak RSS grows by about 250 bytes per step on
-# the rotating tier for a sampled drive, and 96 bytes per solve_loop sample of a circular
-# drive, 16 of them the unit phasor kept for the next solve on the grid (numpy 2.4, x86-64
-# Linux), so a run at the limit stays under 1 GB; a circular drive's steps share one
-# weight row (a million of them at dim 4 peak at 31 MB)
+# longest time grid of one solve_loop, of one sampled-drive propagation, and of the
+# sampled-drive gates of one command together (gate._numeric_gates): measured peak RSS
+# grows by about 260 bytes per step of a sampled drive's rotating-tier gate at dim 4, and
+# 90 bytes per solve_loop sample of a circular drive, 16 of them the unit phasor kept for
+# the next solve on the grid (numpy 2.4, x86-64 Linux), so a run at the limit stays under
+# 1 GB. Circles and polygons take no time steps: they count against this limit in the
+# units of evolve.SUBSTEP_NORM instead, one exact piece per segment
 MAX_SAMPLES = 2_000_000
 
 # the resolution of every gate's closure verdict, numeric scans included

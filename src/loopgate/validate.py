@@ -21,17 +21,14 @@ from .phase import CLOSURE_STEPS, solve_loop
 
 _CONVERGENCE_THRESHOLD = 1e-8
 
-# largest n_r0 * dim^2 of an rwa scan. Its rotating-tier gates are stepped one at a
+# largest n_r0 * dim^2 of an rwa scan. Its rotating-tier gates are propagated one at a
 # time, each as three vacuum columns of the 3 dim triplet rows, so the scan's memory is
 # that of one gate and its time grows with the number of gates; below dim 8 the fixed
-# cost of each gate (about 0.4 ms) dominates, so dim counts as 8 there. Measured at the
-# limit on a one-loop circle with T = 1 (numpy 2.4, x86-64 Linux, 2 vCPUs, one BLAS
-# thread): 7 r0 values at dim 512 take 5.3 s and peak at 0.30 GB RSS stepping the
-# columns through the series with 20 steps each, and 66 s and 0.30 GB with 400 (the
-# series serves up to 512 steps there), and 49 s and 0.41 GB through step matrices
-# with 600; 31 250 at dim 8 take 13-19 s and peak at 56 MB with 1, 6, 8, 9 or 64 steps
-# each (at 64, the steps of all the gates, the reference included, are just above
-# MAX_SAMPLES)
+# cost of each gate dominates, so dim counts as 8 there. A circle or a polygon costs the
+# same at any dt. Measured at the limit on a one-loop circle with T = 1 and g0 = 0.3
+# (numpy 2.4, x86-64 Linux, 2 vCPUs, one BLAS thread): 7 r0 values (5, 10, ..., 35) at
+# dim 512 take 196 s and peak at 0.41 GB, each gate about 30 products of (3 dim)^2
+# matrices; 31 250 r0 values at dim 8 take 17 s and peak at 63 MB
 MAX_SCAN_SIZE = 2_000_000
 
 
@@ -66,9 +63,10 @@ def rwa_error_scan(
     gate: it refuses an open or overflowing loop before anything is stepped.
     Every gate is then one job of a single batch on the numeric gate path:
     the rotating-frame gate of each r0, then the strong-driving gate, which
-    does not depend on r0 and is stepped last, once. The batch refuses the
-    scan unless dt * max(r0) < 0.1 and the steps of all its gates together fit
-    MAX_SAMPLES, before any gate is stepped.
+    does not depend on r0 and is propagated last, once. dt acts on a sampled
+    drive alone, whose scan the batch refuses unless dt * max(r0) < 0.1 and the
+    steps of all its gates together fit MAX_SAMPLES, before any gate is
+    propagated.
     monotone_flag records whether infidelity never increases along the scan.
     """
     values = [float(v) for v in r0_values]
@@ -111,7 +109,8 @@ def truncation_scan(pulse: PulseSpec, dims: list[int], dt: float) -> ValidationR
     intervals is the closure verdict of every dim's RWA-tier gate, and its
     max|alpha| sets the floor every dim must meet: dim >= 4 * max|alpha|^2.
     The gates are one batch on the numeric gate path, one job per dim, so the
-    steps of all of them together must fit MAX_SAMPLES before any is stepped.
+    steps of all of them together, on a sampled drive, must fit MAX_SAMPLES
+    before any is propagated.
     monotone_flag records whether the final drift is below the convergence
     threshold.
     """

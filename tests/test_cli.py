@@ -35,6 +35,9 @@ n_steps = 65536
 """
 
 
+# the README sampled drive: the one drive shape whose numeric gates dt steps
+SAMPLED_CONFIG = "[pulse]\nshape = sampled\ndt = 0.5\nvalues = 0.1+0j 0.1j -0.1+0j -0.1j 0.1+0j\n\n[run]\n"
+
 # a valid circular pulse followed by an open [scan] section
 SCAN_PULSE = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 0.2\n\n[scan]\n"
 
@@ -545,12 +548,14 @@ def test_overflowing_drive_prints_one_error_line(tmp_path, capsys, command, scan
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["numeric_rwa", "numeric_rotating"])
 @pytest.mark.parametrize(
-    "g0,message", [("1e200", "too strong for double precision"), ("1e4", "reduce dt")]
+    "g0,message",
+    [("1e200", "too strong for double precision"), ("1e4", "; enlarge the Fock space\n")],
+    ids=["1e200", "1e4"],
 )
 def test_overdriven_numeric_gate_is_refused_before_stepping(tmp_path, capsys, method, g0, message):
     # 1e200 squares past the float range and is refused before stepping; 1e4 is finite, so
-    # its steps are split into about 1e6 substeps, and the cavity, far outside dim 4, then
-    # misses the vacuum
+    # the circle is propagated as one piece of about 23 squarings, and the cavity, far
+    # outside dim 4, misses the vacuum. dt acts on no circle, so the advice names none
     text = CIRCULAR_CONFIG.replace("g0 = 0.1", f"g0 = {g0}").replace("r0 = 0", "r0 = 10")
     text = text.replace("[run]", f"[run]\nmethod = {method}") + "\n[space]\ndim = 4\n"
     cfg = write(tmp_path / "o.ini", text)
@@ -561,15 +566,16 @@ def test_overdriven_numeric_gate_is_refused_before_stepping(tmp_path, capsys, me
 
 
 @pytest.mark.parametrize(
-    "argv,count",
+    "argv,pulse,count",
     [
-        (["phases", "--steps", "10000000000000"], "10000000000001 trajectory samples"),
-        (["gate", "--dt", "1e-12", "--dim", "4"], "3.142e+13 steps"),
+        (["phases", "--steps", "10000000000000"], CIRCULAR_CONFIG, "10000000000001 trajectory samples"),
+        # dt sets the steps of a sampled drive alone
+        (["gate", "--dt", "1e-12", "--dim", "4"], SAMPLED_CONFIG, "2e+12 steps"),
     ],
     ids=["phases-steps", "gate-dt"],
 )
-def test_step_counts_past_the_limit_are_refused_before_allocating(tmp_path, capsys, argv, count):
-    text = CIRCULAR_CONFIG.replace("[run]", "[run]\nmethod = numeric_rwa")
+def test_step_counts_past_the_limit_are_refused_before_allocating(tmp_path, capsys, argv, pulse, count):
+    text = pulse.replace("[run]", "[run]\nmethod = numeric_rwa")
     cfg = write(tmp_path / "s.ini", text)
     assert cli.main([*argv, "--config", cfg]) == 2
     captured = capsys.readouterr()
@@ -612,11 +618,12 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
             "gate",
             "g0 = 0.2\nnu = 1\nr0 = 1e308\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n",
             2,
-            "error: dt * max(r0) = 2e+306 >= 0.1",
+            "error: drive too strong for double precision: step generator norm nan",
         ),
         (
             "gate",
-            "g0 = 0.2\nnu = 1\nr0 = 1e300\n\n[run]\nmethod = numeric_rotating\ndt = 0.02\n",
+            "shape = sampled\ndt = 0.5\nvalues = 0.1 0.1j -0.1 -0.1j 0.1\nr0 = 1e300\n\n"
+            "[run]\nmethod = numeric_rotating\ndt = 0.02\n",
             2,
             "error: dt * max(r0) = 2e+298 >= 0.1",
         ),
@@ -626,8 +633,9 @@ def test_truncation_scan_of_an_overflowing_loop_is_a_guard(tmp_path, capsys):
     ids=["loops", "r0-rwa", "r0-rotating", "r0-rotating-unresolved", "sampled-duration", "piecewise-duration"],
 )
 def test_values_near_the_float_limit_end_in_a_documented_exit_code(tmp_path, capsys, command, pulse, code, message):
-    # found by the fuzz tests: an int overflow in the cycle time, rotating-tier steps far too coarse
-    # for the fast 2*r0 oscillation, and drive durations that overflow while their grid is built
+    # found by the fuzz tests: an int overflow in the cycle time, a rotating-tier circle whose rest
+    # frame turns past double precision, sampled-drive steps far too coarse for the fast 2*r0
+    # oscillation, and drive durations that overflow while their grid is built
     cfg = write(tmp_path / "f.ini", "[space]\ndim = 6\n\n[sweep]\nr0 = 0\n\n[pulse]\n" + pulse)
     assert cli.main([command, "--config", cfg]) == code
     assert capsys.readouterr().err.startswith(message)
@@ -731,12 +739,13 @@ class TestValidateCommand:
         assert float(rows[0]["infidelity"]) > float(rows[1]["infidelity"])
 
     def test_step_guard_exit_code(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path / "v.ini",
-            "[pulse]\nshape = circular\ng0 = 0.1\nnu = 1.0\nloops = 1\n\n"
-            "[scan]\nkind = rwa\nr0_values = 2 40\ndt = 0.005\ndim = 4\n",
-        )
+        # dt * r0 = 0.2 on a sampled drive; a circle takes no step for the guard to judge
+        scan = "[scan]\nkind = rwa\nr0_values = 2 40\ndt = 0.005\ndim = 4\n"
+        cfg = write(tmp_path / "v.ini", SAMPLED_CONFIG.replace("[run]\n", scan))
         assert cli.main(["validate", "--config", cfg]) == 2
+        circle = "[pulse]\nshape = circular\ng0 = 0.1\nnu = 1.0\nloops = 1\n\n"
+        cfg = write(tmp_path / "c.ini", circle + scan)
+        assert cli.main(["validate", "--config", cfg]) == 0
 
     def test_regression_exit_code(self, tmp_path, capsys, monkeypatch):
         fake = ValidationReport(
@@ -967,7 +976,8 @@ GOLDEN_CONFIGS = {
 }
 # numeric gates on the README drives: the RWA tier at dim 12 and the default dt, and the
 # rotating tier at r0 = 20, dim 8 and dt = 0.002; their outputs were recorded before the
-# numeric gate and the full propagator shared one stepping path
+# numeric gate and the full propagator shared one stepping path, and dt acts on the
+# sampled drive's alone
 GOLDEN_CONFIGS.update(
     {
         f"{drive}_{tier}": fuzzed_config(GOLDEN_CONFIGS[drive], entries)
@@ -1006,7 +1016,11 @@ FIXED_REPORTS = {
 # Outputs recorded before the per-branch phase functions were folded into one
 # loop solution (validate: before its CSV and JSON branches became the shared
 # row writer); the README promises byte-identical files, so these never get
-# re-recorded to absorb a numerical change.
+# re-recorded to absorb a numerical change. One move is the exception: when
+# circles and polygons came to be propagated exactly, with no time step,
+# gate-circular_rwa, gate-circular_rotating and gate-piecewise_rotating were
+# re-recorded once, each checked against scipy's expm of the same pieces
+# (tests/test_evolve.py::rest_frame_gate) to 2.5e-12.
 GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -1018,6 +1032,19 @@ def test_outputs_byte_identical_to_recorded(tmp_path, capsys, monkeypatch, key):
     cfg = write(tmp_path / "g.ini", GOLDEN_CONFIGS[drive])
     assert cli.main([command, "--config", cfg, "--format", fmt]) == 0
     assert capsys.readouterr().out == GOLDEN_OUTPUTS[key]
+
+
+@pytest.mark.parametrize("method", ["numeric_rwa", "numeric_rotating"])
+@pytest.mark.parametrize("drive", ["circular", "piecewise"])
+def test_circle_and_polygon_gates_do_not_depend_on_dt(tmp_path, capsys, drive, method):
+    # propagated exactly, one piece per segment: a dt far too coarse to step with prints the same bytes
+    text = fuzzed_config(GOLDEN_CONFIGS[drive], [("pulse", "r0", "20"), ("space", "dim", "8"), ("run", "method", method)])
+    cfg = write(tmp_path / "g.ini", text)
+    outputs = []
+    for dt in ("0.002", "0.5"):
+        assert cli.main(["gate", "--config", cfg, "--dt", dt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 _FUZZ_KEYS = (
@@ -1078,7 +1105,11 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, cap
     assert_documented_outcome(code, capsys.readouterr())
 
 
-NUMERIC_FUZZ_PULSE = "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 4\n\n"
+NUMERIC_FUZZ_PULSES = (
+    "[pulse]\nshape = circular\ng0 = 0.2\nnu = 1\nr0 = 4\n\n",
+    # four chords of that circle: the one shape dt steps
+    "[pulse]\nshape = sampled\ndt = 1.5707963267948966\nvalues = 0.2 0.2j -0.2 -0.2j 0.2\nr0 = 4\n\n",
+)
 
 # cheap numeric bases, each exit 0 as written: dim <= 8 and about 300 steps
 NUMERIC_FUZZ_BASES = {
@@ -1104,12 +1135,14 @@ NUMERIC_FUZZ_ENTRIES = st.lists(
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(base=st.sampled_from(sorted(NUMERIC_FUZZ_BASES)), entries=NUMERIC_FUZZ_ENTRIES)
-def test_fuzzed_numeric_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, base, entries):
-    # a small circle (gamma = 0.08 pi) on each numeric path; no input may warn or raise
+@given(
+    pulse=st.sampled_from(NUMERIC_FUZZ_PULSES), base=st.sampled_from(sorted(NUMERIC_FUZZ_BASES)), entries=NUMERIC_FUZZ_ENTRIES
+)
+def test_fuzzed_numeric_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys, pulse, base, entries):
+    # a small circle (gamma = 0.08 pi), or four chords of it, on each numeric path; no input may warn or raise
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     command, tail = NUMERIC_FUZZ_BASES[base]
-    text = NUMERIC_FUZZ_PULSE + tail
+    text = pulse + tail
     cfg = write(tmp_path / "f.ini", fuzzed_config(text, entries))
     assert_documented_outcome(cli.main([command, "--config", cfg]), capsys.readouterr())
 

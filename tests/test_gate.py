@@ -11,6 +11,7 @@ from loopgate import (
     InfeasibleConstraintError,
     OpenLoopError,
     PulseSpec,
+    Sampled,
     StepTooCoarseError,
     TrivialTargetWarning,
     design_circular_pulse,
@@ -122,10 +123,14 @@ class TestGateMatrix:
 
     @pytest.mark.parametrize("dt,r0", [(0.01, 10.0), (0.02, 10.0), (None, 100.0)])
     def test_rotating_step_must_resolve_the_fast_oscillation(self, dt, r0):
-        # dt * r0 = 0.1, 0.2 and (T/4000) * r0 = 0.157: the rwa scan refuses the same
-        pulse = PulseSpec(g_shape=Circular(g0=0.1, nu=1.0), T=2 * math.pi, r0=r0)
+        # dt * r0 = 0.1, 0.2 and (T/4000) * r0 = 0.157 on a sampled drive, the one drive
+        # stepped in time: the rwa scan refuses the same. A circle takes no step to refuse
+        chords = Sampled(dt=math.pi / 2, values=(0.1, 0.1j, -0.1, -0.1j, 0.1))
+        pulse = PulseSpec(g_shape=chords, T=2 * math.pi, r0=r0)
         with pytest.raises(StepTooCoarseError, match="the 2\\*r0 oscillation would be unresolved"):
             gate_matrix(pulse, FockSpace(4), method="numeric_rotating", dt=dt)
+        circle = PulseSpec(g_shape=Circular(g0=0.1, nu=1.0), T=2 * math.pi, r0=r0)
+        assert gate_matrix(circle, FockSpace(4), method="numeric_rotating", dt=dt).fidelity > 0.99
 
 
 class TestDesigner:

@@ -311,13 +311,29 @@ class TestHamiltonians:
         turn = np.exp(1j * s * rest_frame(tier, pulse, SPACE))
         assert np.abs(turn[:, None] * now * turn.conj() - later).max() < 1e-13
 
-    def test_only_circular_drives_have_a_rest_frame(self, zero_pulse, standard_pulse):
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from(list(HamiltonianTier)),
+        st.complex_numbers(max_magnitude=1.0),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 3.0),
+    )
+    def test_rest_frame_carries_the_piecewise_generator_within_a_segment(self, tier, g, r0, t, s):
+        # a held drive value leaves only the rotating tier's fast phase to turn
+        pulse = PulseSpec(g_shape=PiecewiseConstant(segments=((6.0, g),)), T=6.0, r0=r0)
+        operators, _ = hamiltonian_operators(tier, SPACE)
+        later, now = (np.tensordot(hamiltonian_weights(tier, pulse, x)[0], operators, 1) for x in (t + s, t))
+        turn = np.exp(1j * s * rest_frame(tier, pulse, SPACE))
+        assert np.abs(turn[:, None] * now * turn.conj() - later).max() < 1e-13
+
+    def test_only_sampled_drives_have_no_rest_frame(self, zero_pulse, standard_pulse):
         sampled = PulseSpec(g_shape=Sampled(dt=1.0, values=(0.1, 0.2j)), T=1.0)
         for tier in HamiltonianTier:
-            assert rest_frame(tier, zero_pulse, SPACE) is None
             assert rest_frame(tier, sampled, SPACE) is None
             # the triplet rows, or the |++> rows alone on the RWA tier
             rows = 1 if tier is RWA else 3
+            assert rest_frame(tier, zero_pulse, SPACE).shape == (rows * SPACE.dim,)
             assert rest_frame(tier, standard_pulse, SPACE).shape == (rows * SPACE.dim,)
 
     def test_branch_count(self):

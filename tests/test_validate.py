@@ -31,24 +31,31 @@ def short_pulse():
     return PulseSpec(g_shape=Circular(g0=0.1, nu=1.0), T=2 * math.pi)
 
 
+def chords(g0):
+    """Four chords of a circle of drive values g0 over T = 2 pi: a closed sampled drive, the one kind dt acts on."""
+    return PulseSpec(g_shape=Sampled(dt=math.pi / 2, values=(g0, 1j * g0, -g0, -1j * g0, g0)), T=2 * math.pi)
+
+
 class TestRwaScan:
     def test_step_guard(self, short_pulse):
         with pytest.raises(StepTooCoarseError):
-            rwa_error_scan(short_pulse, [1.0, 30.0], FockSpace(4), dt=0.01)
+            rwa_error_scan(chords(0.1), [1.0, 30.0], FockSpace(4), dt=0.01)
+        # a circle is propagated exactly, so dt sets no step for the guard to judge
+        rwa_error_scan(short_pulse, [1.0, 30.0], FockSpace(4), dt=0.01)
 
-    def test_step_guard_refuses_before_anything_is_stepped(self, short_pulse, monkeypatch):
+    def test_step_guard_refuses_before_anything_is_stepped(self, monkeypatch):
         def stepped(*args, **kwargs):
             raise AssertionError("a gate was stepped")
 
         monkeypatch.setattr(evolve, "_step_blocks", stepped)
         with pytest.raises(StepTooCoarseError):
-            rwa_error_scan(short_pulse, [1.0, 2000.0], FockSpace(32), dt=1e-4)
+            rwa_error_scan(chords(0.1), [1.0, 2000.0], FockSpace(32), dt=1e-4)
 
     def test_r0_values_share_the_step_budget(self, monkeypatch):
         # 50 steps fit a budget of 100 for one rotating-frame gate and the reference; the
         # three gates of a scan and the reference do not, and that is judged before any
         # gate is stepped. A weak drive returns to vacuum at r0 below the drive frequency
-        pulse = PulseSpec(g_shape=Circular(g0=0.01, nu=1.0), T=2 * math.pi)
+        pulse = chords(0.01)
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
         dt = pulse.T / 50
         rwa_error_scan(pulse, [0.6], FockSpace(4), dt)
@@ -179,19 +186,20 @@ class TestTruncationScan:
         assert len(report.rows) == 1
         assert report.monotone_flag is True
 
-    def test_dims_share_the_step_budget(self, short_pulse, monkeypatch):
+    def test_dims_share_the_step_budget(self, monkeypatch):
         # 50 steps fit a budget of 100 for two dims; three dims do not, and that is
         # judged before any gate is stepped
+        pulse = chords(0.1)
         monkeypatch.setattr(evolve, "MAX_SAMPLES", 100)
-        dt = short_pulse.T / 50
-        truncation_scan(short_pulse, [6, 8], dt)
+        dt = pulse.T / 50
+        truncation_scan(pulse, [6, 8], dt)
 
         def stepped(*args, **kwargs):
             raise AssertionError("a gate was stepped")
 
         monkeypatch.setattr(evolve, "_step_blocks", stepped)
         with pytest.raises(SimulationGuard, match="150 steps requested, above the limit of 100"):
-            truncation_scan(short_pulse, [6, 8, 12], dt)
+            truncation_scan(pulse, [6, 8, 12], dt)
 
     def test_rows_match_gate_matrix_reports(self, short_pulse):
         dims, dt = [6, 8, 12], 0.01
